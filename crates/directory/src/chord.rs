@@ -61,20 +61,19 @@ fn in_open_interval(x: u64, from: u64, to: u64) -> bool {
     }
 }
 
-/// One overlay node: its ring identifier and finger table.
+/// One overlay node: its ring identifier and finger table.  A node's slot in
+/// the overlay's node vector is the index of the GFA it represents.
 #[derive(Debug, Clone)]
 struct ChordNode {
-    /// Index of the GFA this node represents.
-    gfa: usize,
     /// Ring identifier.
     id: u64,
     /// `fingers[j]` = index (into the overlay's node vector) of the successor
-    /// of `id + 2^j`.
+    /// of `id + 2^j` on the live ring.
     fingers: Vec<usize>,
     /// Whether the node is currently part of the live ring.  Departed nodes
-    /// keep their slot (and finger table, rebuilt over the live ring) so
-    /// lookups *originating* at them still terminate, but they own no keys
-    /// and no walk arcs.
+    /// keep their slot (and a finger table over the live ring) so lookups
+    /// *originating* at them still terminate, but they own no keys and no
+    /// walk arcs.
     alive: bool,
 }
 
@@ -82,8 +81,14 @@ struct ChordNode {
 #[derive(Debug, Clone)]
 pub struct ChordOverlay {
     nodes: Vec<ChordNode>,
-    /// Node vector indices sorted by ring id, for successor lookups.
+    /// Live node vector indices sorted by ring id, for successor lookups.
     ring_order: Vec<usize>,
+}
+
+/// The key whose live successor finger `j` of the node at ring id `id`
+/// points at.
+fn finger_target(id: u64, j: usize) -> u64 {
+    id.wrapping_add(1u64.wrapping_shl(j as u32))
 }
 
 impl ChordOverlay {
@@ -94,13 +99,14 @@ impl ChordOverlay {
     /// at `hash64(seed ⊕ gfa)` on the ring.
     ///
     /// # Panics
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, or if two nodes land on the same ring id (the
+    /// placement is a bijection of the GFA index, so this cannot happen;
+    /// membership changes patch the ring by position and rely on it).
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n > 0, "an overlay needs at least one node");
         let nodes: Vec<ChordNode> = (0..n)
             .map(|gfa| ChordNode {
-                gfa,
                 id: hash64(seed ^ (gfa as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)),
                 fingers: Vec::new(),
                 alive: true,
@@ -111,24 +117,22 @@ impl ChordOverlay {
             ring_order: Vec::new(),
         };
         overlay.rebuild_routing();
+        assert!(
+            overlay
+                .ring_order
+                .windows(2)
+                .all(|w| overlay.nodes[w[0]].id < overlay.nodes[w[1]].id),
+            "overlay ring ids must be unique"
+        );
         overlay
     }
 
-    /// Successor of an arbitrary key on the live ring, as an index into
-    /// `nodes`.
-    fn successor_index_of(&self, key: u64) -> usize {
-        match self
-            .ring_order
-            .binary_search_by(|&i| self.nodes[i].id.cmp(&key))
-        {
-            Ok(pos) => self.ring_order[pos],
-            Err(pos) => self.ring_order[pos % self.ring_order.len()],
-        }
-    }
-
-    /// Rebuilds the ring order and every node's finger table over the
-    /// current live membership.  Dead nodes get fingers too — a lookup
-    /// *originating* at a departed node must still route onto the live ring.
+    /// Computes the ring order and every node's finger table from scratch
+    /// over the current live membership.  Dead nodes get fingers too — a
+    /// lookup *originating* at a departed node must still route onto the
+    /// live ring.  Only the constructor calls it; membership changes patch
+    /// the same state in place (see [`Self::remove_node`]), and the tests
+    /// use it as the oracle those patches must equal.
     fn rebuild_routing(&mut self) {
         let mut ring_order: Vec<usize> =
             (0..self.nodes.len()).filter(|&i| self.nodes[i].alive).collect();
@@ -137,10 +141,7 @@ impl ChordOverlay {
         for i in 0..self.nodes.len() {
             let id = self.nodes[i].id;
             let fingers: Vec<usize> = (0..Self::ID_BITS)
-                .map(|j| {
-                    let target = id.wrapping_add(1u64.wrapping_shl(j as u32));
-                    self.successor_index_of(target)
-                })
+                .map(|j| self.owner_of(finger_target(id, j)))
                 .collect();
             self.nodes[i].fingers = fingers;
         }
@@ -165,28 +166,56 @@ impl ChordOverlay {
         self.nodes.get(gfa).is_some_and(|n| n.alive)
     }
 
-    /// Removes GFA `gfa`'s node from the live ring, rebuilding the routing
-    /// state.  Returns whether the membership changed; the last live node is
-    /// never removed (the ring is the routing substrate — an empty ring
-    /// would strand every subsequent lookup), and removing an unknown or
-    /// already-dead node is a no-op.
+    /// Removes GFA `gfa`'s node from the live ring.  Returns whether the
+    /// membership changed; the last live node is never removed (the ring is
+    /// the routing substrate — an empty ring would strand every subsequent
+    /// lookup), and removing an unknown or already-dead node is a no-op.
+    ///
+    /// The routing state is patched, not rebuilt: the node leaves the sorted
+    /// ring order, and every finger (dead nodes' included) that pointed at
+    /// it now points at its ring successor, which inherits its key range —
+    /// `O(n · ID_BITS)` per call.
     pub fn remove_node(&mut self, gfa: usize) -> bool {
         if !self.is_alive(gfa) || self.ring_order.len() <= 1 {
             return false;
         }
+        let pos = self.walk_arc_of(self.nodes[gfa].id);
+        self.ring_order.remove(pos);
+        let heir = self.ring_order[pos % self.ring_order.len()];
         self.nodes[gfa].alive = false;
-        self.rebuild_routing();
+        for node in &mut self.nodes {
+            for f in node.fingers.iter_mut().filter(|f| **f == gfa) {
+                *f = heir;
+            }
+        }
         true
     }
 
-    /// Re-admits a previously removed node to the live ring, rebuilding the
-    /// routing state.  Returns whether the membership changed.
+    /// Re-admits a previously removed node to the live ring.  Returns
+    /// whether the membership changed.
+    ///
+    /// The routing state is patched, not rebuilt: the node enters the sorted
+    /// ring order and takes over the keys `(pred.id, id]` from its ring
+    /// successor, so exactly the fingers (dead nodes' included) whose target
+    /// falls in that range now point at it — `O(n · ID_BITS)` per call.
     pub fn insert_node(&mut self, gfa: usize) -> bool {
         if gfa >= self.nodes.len() || self.nodes[gfa].alive {
             return false;
         }
+        let id = self.nodes[gfa].id;
+        let pos = self.walk_arc_of(id);
+        let n = self.ring_order.len();
+        let pred_id = self.nodes[self.ring_order[(pos + n - 1) % n]].id;
+        self.ring_order.insert(pos, gfa);
         self.nodes[gfa].alive = true;
-        self.rebuild_routing();
+        for node in &mut self.nodes {
+            let node_id = node.id;
+            for (j, f) in node.fingers.iter_mut().enumerate() {
+                if in_interval(finger_target(node_id, j), pred_id, id) {
+                    *f = gfa;
+                }
+            }
+        }
         true
     }
 
@@ -196,16 +225,13 @@ impl ChordOverlay {
     /// when `gfa` is not live.
     #[must_use]
     pub fn successors(&self, gfa: usize, count: usize) -> Vec<usize> {
-        let n = self.ring_order.len();
-        let Some(pos) = self
-            .ring_order
-            .iter()
-            .position(|&i| self.nodes[i].gfa == gfa)
-        else {
+        if !self.is_alive(gfa) {
             return Vec::new();
-        };
-        (1..=count.min(n.saturating_sub(1)))
-            .map(|step| self.nodes[self.ring_order[(pos + step) % n]].gfa)
+        }
+        let n = self.ring_order.len();
+        let pos = self.walk_arc_of(self.nodes[gfa].id);
+        (1..=count.min(n - 1))
+            .map(|step| self.ring_order[(pos + step) % n])
             .collect()
     }
 
@@ -218,7 +244,7 @@ impl ChordOverlay {
     /// The GFA index owning `key` (its successor on the live ring).
     #[must_use]
     pub fn owner_of(&self, key: u64) -> usize {
-        self.nodes[self.successor_index_of(key)].gfa
+        self.walk_arc_owner(self.walk_arc_of(key))
     }
 
     /// Routes from the node representing `from_gfa` towards `key` using
@@ -229,11 +255,11 @@ impl ChordOverlay {
     /// Panics if `from_gfa` is not part of the overlay.
     #[must_use]
     pub fn lookup(&self, from_gfa: usize, key: u64) -> (usize, u32) {
-        let mut current = self
-            .nodes
-            .iter()
-            .position(|n| n.gfa == from_gfa)
-            .unwrap_or_else(|| panic!("GFA {from_gfa} is not in the overlay"));
+        assert!(
+            from_gfa < self.nodes.len(),
+            "GFA {from_gfa} is not in the overlay"
+        );
+        let mut current = from_gfa;
         let mut hops = 0u32;
         // Hard bound to guarantee termination even if the finger tables were
         // corrupted; 4·bits is far beyond any legitimate route length.
@@ -242,7 +268,7 @@ impl ChordOverlay {
             let node = &self.nodes[current];
             let successor = node.fingers[0];
             if in_interval(key, node.id, self.nodes[successor].id) {
-                return (self.nodes[successor].gfa, hops + 1);
+                return (successor, hops + 1);
             }
             // Closest preceding finger: the furthest finger that lies
             // strictly between this node and the key.
@@ -254,12 +280,12 @@ impl ChordOverlay {
                 }
             }
             if next == current {
-                return (node.gfa, hops);
+                return (current, hops);
             }
             current = next;
             hops += 1;
             if hops >= max_hops {
-                return (self.nodes[current].gfa, hops);
+                return (current, hops);
             }
         }
     }
@@ -287,7 +313,7 @@ impl ChordOverlay {
     /// The GFA owning walk arc `arc`.
     #[must_use]
     pub fn walk_arc_owner(&self, arc: usize) -> usize {
-        self.nodes[self.ring_order[arc % self.ring_order.len()]].gfa
+        self.ring_order[arc % self.ring_order.len()]
     }
 
     /// Average hops over a deterministic sample of `samples` random lookups,
@@ -774,6 +800,7 @@ impl FederationDirectory for ChordDirectory {
 mod tests {
     use super::*;
     use grid_cluster::paper_resources;
+    use proptest::prelude::*;
 
     #[test]
     fn ring_interval_logic() {
@@ -1091,5 +1118,81 @@ mod tests {
         assert!(dir.is_node_live(head_owner));
         assert_eq!(dir.membership_epoch(), 3);
         assert!(dir.replication_ok());
+    }
+
+    /// The overlay's whole routing state: ring order, then every node's
+    /// liveness and fingers (dead nodes' included).
+    fn routing_state(overlay: &ChordOverlay) -> (Vec<usize>, Vec<(bool, Vec<usize>)>) {
+        let nodes = overlay
+            .nodes
+            .iter()
+            .map(|n| (n.alive, n.fingers.clone()))
+            .collect();
+        (overlay.ring_order.clone(), nodes)
+    }
+
+    /// Asserts the patched routing state equals a from-scratch rebuild, and
+    /// that routed lookups from sampled origins to sampled keys agree.
+    fn assert_matches_rebuild(overlay: &ChordOverlay, probe: u64) {
+        let mut oracle = overlay.clone();
+        oracle.rebuild_routing();
+        assert_eq!(routing_state(overlay), routing_state(&oracle));
+        let n = overlay.len() as u64;
+        for s in 0..12u64 {
+            let from = (hash64(probe ^ s) % n) as usize;
+            let near = overlay.nodes[(hash64(probe.wrapping_add(s)) % n) as usize].id;
+            for key in [
+                hash64(probe.wrapping_mul(31) ^ s),
+                near,
+                near.wrapping_add(1),
+            ] {
+                assert_eq!(
+                    overlay.lookup(from, key),
+                    oracle.lookup(from, key),
+                    "lookup({from}, {key})"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random membership churn: the in-place patches of `remove_node` and
+        /// `insert_node` leave exactly the state `rebuild_routing` computes,
+        /// and refused operations (the last live node, removing a dead node,
+        /// inserting a live one, unknown GFAs) change nothing.
+        #[test]
+        fn membership_patches_match_a_full_rebuild(
+            size in 0usize..5,
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((proptest::bool::ANY, 0usize..12), 1..40),
+        ) {
+            let n = [1usize, 2, 3, 8, 200][size];
+            let mut overlay = ChordOverlay::new(n, seed);
+            for (step, &(remove, pick)) in ops.iter().enumerate() {
+                // Picks spread over the ring plus one unknown GFA (`n`), few
+                // enough that refusals and rejoins recur at every size.
+                let gfa = pick * n / 11;
+                let before = routing_state(&overlay);
+                let changed = if remove {
+                    let expected = overlay.is_alive(gfa) && overlay.live_len() > 1;
+                    let changed = overlay.remove_node(gfa);
+                    prop_assert_eq!(changed, expected, "remove_node({}) at step {}", gfa, step);
+                    changed
+                } else {
+                    let expected = gfa < n && !overlay.is_alive(gfa);
+                    let changed = overlay.insert_node(gfa);
+                    prop_assert_eq!(changed, expected, "insert_node({}) at step {}", gfa, step);
+                    changed
+                };
+                if changed {
+                    prop_assert_eq!(overlay.is_alive(gfa), !remove);
+                } else {
+                    prop_assert_eq!(routing_state(&overlay), before, "refused op at step {}", step);
+                }
+                assert_matches_rebuild(&overlay, seed ^ step as u64);
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The idealised federation directory used by the experiments.
 //!
-//! Quotes are kept in two rank orders (by price and by speed) that are
-//! rebuilt lazily after mutations.  Queries are exact and deterministic; the
-//! *modelled* message cost of a query is `⌈log₂ n⌉`, matching the paper's
-//! assumption of an efficient P2P directory ("we assume the query process is
-//! optimal, i.e. that it takes O(log n) messages to query the directory").
+//! Quotes are kept in two rank orders (by price and by speed) that every
+//! mutation patches in place by binary search.  Queries are exact and
+//! deterministic; the *modelled* message cost of a query is `⌈log₂ n⌉`,
+//! matching the paper's assumption of an efficient P2P directory ("we assume
+//! the query process is optimal, i.e. that it takes O(log n) messages to
+//! query the directory").
 
 use std::cell::Cell;
 
@@ -14,10 +15,12 @@ use crate::quote::{FederationDirectory, Quote, RankOrder, TracedQuote};
 /// Exact, centrally-computed directory with an `O(log n)` message-cost model.
 #[derive(Debug, Default)]
 pub struct IdealDirectory {
+    /// Subscribed quotes, in subscription order.
     quotes: Vec<Quote>,
+    /// Indices into `quotes` by ascending price, ties by GFA index.
     by_price: Vec<usize>,
+    /// Indices into `quotes` by descending speed, ties by GFA index.
     by_speed: Vec<usize>,
-    dirty: bool,
     /// Content epoch: bumped by every mutation so open cursors and GFA-side
     /// quote caches can detect staleness (see [`FederationDirectory::epoch`]).
     epoch: u64,
@@ -55,34 +58,53 @@ impl IdealDirectory {
         self.epoch = 0;
     }
 
-    fn rebuild_if_dirty(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        self.by_price = (0..self.quotes.len()).collect();
-        self.by_price.sort_by(|&a, &b| {
-            self.quotes[a]
+    /// Where `q`'s (price, GFA) key sits in the price order: `Ok` if an entry
+    /// with that key is present, else `Err` with its insertion point.  Keys
+    /// are unique (one quote per GFA), so this is exactly the position a
+    /// full sort would give it.
+    fn price_slot(&self, q: &Quote) -> Result<usize, usize> {
+        self.by_price.binary_search_by(|&i| {
+            self.quotes[i]
                 .price
-                .total_cmp(&self.quotes[b].price)
-                .then_with(|| self.quotes[a].gfa.cmp(&self.quotes[b].gfa))
-        });
-        self.by_speed = (0..self.quotes.len()).collect();
-        self.by_speed.sort_by(|&a, &b| {
-            self.quotes[b]
-                .mips
-                .total_cmp(&self.quotes[a].mips)
-                .then_with(|| self.quotes[a].gfa.cmp(&self.quotes[b].gfa))
-        });
-        self.dirty = false;
+                .total_cmp(&q.price)
+                .then_with(|| self.quotes[i].gfa.cmp(&q.gfa))
+        })
     }
 
-    /// Immutable variant of the rank lookup.  The index vectors are rebuilt
-    /// eagerly on mutation, so by the time queries arrive the directory is
-    /// clean; the debug assertion documents that invariant without taxing
-    /// the cursor hot path.
+    /// [`Self::price_slot`] for the speed order (descending MIPS, then GFA).
+    fn speed_slot(&self, q: &Quote) -> Result<usize, usize> {
+        self.by_speed.binary_search_by(|&i| {
+            q.mips
+                .total_cmp(&self.quotes[i].mips)
+                .then_with(|| self.quotes[i].gfa.cmp(&q.gfa))
+        })
+    }
+
+    /// Inserts `quotes[qi]` into both rank orders.
+    fn link(&mut self, qi: usize) {
+        let q = self.quotes[qi];
+        let at = self.price_slot(&q).unwrap_or_else(|at| at);
+        self.by_price.insert(at, qi);
+        let at = self.speed_slot(&q).unwrap_or_else(|at| at);
+        self.by_speed.insert(at, qi);
+    }
+
+    /// Removes `quotes[qi]` from both rank orders.
+    fn unlink(&mut self, qi: usize) {
+        let q = self.quotes[qi];
+        let at = self
+            .price_slot(&q)
+            .expect("a subscribed quote is in the price order");
+        self.by_price.remove(at);
+        let at = self
+            .speed_slot(&q)
+            .expect("a subscribed quote is in the speed order");
+        self.by_speed.remove(at);
+    }
+
+    /// Resolves rank `r` (1-based) of `order`, counting the served query.
     #[inline]
     fn ranked(&self, order: &[usize], r: usize) -> Option<Quote> {
-        debug_assert!(!self.dirty, "directory indices must be rebuilt before querying");
         if r == 0 {
             return None;
         }
@@ -173,25 +195,30 @@ impl FederationDirectory for IdealDirectory {
     // keeps the quote store central, so every mutation is free (0).
 
     fn subscribe(&mut self, quote: Quote) -> u64 {
-        if let Some(existing) = self.quotes.iter_mut().find(|q| q.gfa == quote.gfa) {
-            *existing = quote;
+        let qi = if let Some(qi) = self.quotes.iter().position(|q| q.gfa == quote.gfa) {
+            self.unlink(qi);
+            self.quotes[qi] = quote;
+            qi
         } else {
             self.quotes.push(quote);
-        }
-        self.dirty = true;
-        self.rebuild_if_dirty();
+            self.quotes.len() - 1
+        };
+        self.link(qi);
         self.epoch += 1;
         0
     }
 
     fn unsubscribe(&mut self, gfa: usize) -> u64 {
-        let before = self.quotes.len();
-        self.quotes.retain(|q| q.gfa != gfa);
-        if self.quotes.len() == before {
+        let Some(qi) = self.quotes.iter().position(|q| q.gfa == gfa) else {
             return 0; // unknown GFA: nothing changed, keep caches valid
+        };
+        self.unlink(qi);
+        self.quotes.remove(qi);
+        for i in self.by_price.iter_mut().chain(&mut self.by_speed) {
+            if *i > qi {
+                *i -= 1;
+            }
         }
-        self.dirty = true;
-        self.rebuild_if_dirty();
         self.epoch += 1;
         0
     }
@@ -200,40 +227,21 @@ impl FederationDirectory for IdealDirectory {
         let Some(qi) = self.quotes.iter().position(|q| q.gfa == gfa) else {
             return 0;
         };
-        debug_assert!(!self.dirty, "rank orders are maintained eagerly across mutations");
-        let old_price = self.quotes[qi].price;
-        if old_price.to_bits() == price.to_bits() {
+        if self.quotes[qi].price.to_bits() == price.to_bits() {
             // Repricing to the identical price changes nothing observable:
             // skip the reposition *and* the epoch bump, so open cursors and
             // GFA quote caches across the whole federation stay valid.
             return 0;
         }
         // Single reposition in the price order — the speed order does not
-        // depend on the price and is left untouched.  Locate the entry under
-        // its old (price, gfa) key, then re-insert under the new one; since
-        // keys are unique the result is exactly what a full re-sort gives.
-        let pos = self
-            .by_price
-            .binary_search_by(|&i| {
-                self.quotes[i]
-                    .price
-                    .total_cmp(&old_price)
-                    .then_with(|| self.quotes[i].gfa.cmp(&gfa))
-            })
-            .expect("a subscribed quote is present in the price order");
-        debug_assert_eq!(self.by_price[pos], qi);
+        // depend on the price and is left untouched.
+        let at = self
+            .price_slot(&self.quotes[qi])
+            .expect("a subscribed quote is in the price order");
+        self.by_price.remove(at);
         self.quotes[qi].price = price;
-        self.by_price.remove(pos);
-        let insert_at = self
-            .by_price
-            .binary_search_by(|&i| {
-                self.quotes[i]
-                    .price
-                    .total_cmp(&price)
-                    .then_with(|| self.quotes[i].gfa.cmp(&gfa))
-            })
-            .unwrap_or_else(|pos| pos);
-        self.by_price.insert(insert_at, qi);
+        let at = self.price_slot(&self.quotes[qi]).unwrap_or_else(|at| at);
+        self.by_price.insert(at, qi);
         self.epoch += 1;
         0
     }
@@ -309,6 +317,7 @@ impl FederationDirectory for IdealDirectory {
 mod tests {
     use super::*;
     use grid_cluster::paper_resources;
+    use proptest::prelude::*;
 
     fn paper_directory() -> IdealDirectory {
         IdealDirectory::with_quotes(
@@ -498,5 +507,86 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3]);
         let order: Vec<usize> = (1..=4).map(|r| dir.kth_fastest(r).unwrap().gfa).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Subscribe { gfa: usize, mips: f64, price: f64 },
+        Unsubscribe { gfa: usize },
+        Reprice { gfa: usize, price: f64 },
+    }
+
+    /// GFA indices `0..GFAS`; ops also name the unknown GFAs `GFAS..GFAS + 2`.
+    const GFAS: usize = 10;
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Prices and speeds come from small grids so ties are common.
+        (0u32..3, 0usize..GFAS + 2, 0u32..6, 0u32..4).prop_map(|(kind, gfa, price, mips)| {
+            let price = 1.0 + 0.5 * f64::from(price);
+            match kind {
+                0 => Op::Subscribe {
+                    gfa,
+                    mips: 400.0 + 100.0 * f64::from(mips),
+                    price,
+                },
+                1 => Op::Unsubscribe { gfa },
+                _ => Op::Reprice { gfa, price },
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random subscribe (new and republish), unsubscribe (known and
+        /// unknown) and reprice sequences: after every op the patched rank
+        /// orders equal a freshly sorted oracle, the quotes keep their
+        /// subscription order and the epoch moved exactly when content did.
+        #[test]
+        fn patched_rank_orders_match_a_sorted_oracle(ops in proptest::collection::vec(op(), 1..80)) {
+            let mut dir = IdealDirectory::new();
+            let mut oracle: Vec<Quote> = Vec::new();
+            let mut epoch = 0u64;
+            for (step, op) in ops.iter().enumerate() {
+                let known = |gfa: usize| oracle.iter().position(|q| q.gfa == gfa);
+                match *op {
+                    Op::Subscribe { gfa, mips, price } => {
+                        let quote = Quote { gfa, processors: 8, mips, bandwidth: 1.0, price };
+                        match known(gfa) {
+                            Some(i) => oracle[i] = quote,
+                            None => oracle.push(quote),
+                        }
+                        epoch += 1;
+                        prop_assert_eq!(dir.subscribe(quote), 0);
+                    }
+                    Op::Unsubscribe { gfa } => {
+                        if let Some(i) = known(gfa) {
+                            oracle.remove(i);
+                            epoch += 1;
+                        }
+                        prop_assert_eq!(dir.unsubscribe(gfa), 0);
+                    }
+                    Op::Reprice { gfa, price } => {
+                        if let Some(i) = known(gfa) {
+                            if oracle[i].price.to_bits() != price.to_bits() {
+                                oracle[i].price = price;
+                                epoch += 1;
+                            }
+                        }
+                        prop_assert_eq!(dir.update_price(gfa, price), 0);
+                    }
+                }
+                prop_assert_eq!(dir.epoch(), epoch, "epoch after step {}: {:?}", step, op);
+                prop_assert_eq!(dir.quotes(), &oracle[..], "subscription order after step {}", step);
+                let mut cheapest = oracle.clone();
+                cheapest.sort_by(|a, b| a.price.total_cmp(&b.price).then(a.gfa.cmp(&b.gfa)));
+                let mut fastest = oracle.clone();
+                fastest.sort_by(|a, b| b.mips.total_cmp(&a.mips).then(a.gfa.cmp(&b.gfa)));
+                for r in 1..=oracle.len() + 1 {
+                    prop_assert_eq!(dir.kth_cheapest(r), cheapest.get(r - 1).copied(), "rank {} cheapest", r);
+                    prop_assert_eq!(dir.kth_fastest(r), fastest.get(r - 1).copied(), "rank {} fastest", r);
+                }
+            }
+        }
     }
 }
