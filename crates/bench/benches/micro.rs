@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
-use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimTime, Simulation};
-use grid_bench::populated_directory;
+use grid_des::{BinaryHeapEventQueue, Context, Entity, Event, EventQueue, Simulation};
+use grid_bench::{engine_pattern, populated_directory, ARRIVALS};
 use grid_directory::{
     AnyDirectory, ChordOverlay, DirectoryBackend, FederationDirectory, IdealDirectory, Quote,
     RankOrder,
@@ -17,49 +17,25 @@ use grid_workload::{JobId, SyntheticWorkloadConfig};
 /// measure the memmove cost the real model pays.
 type WidePayload = [u64; 12];
 
-fn wide_event(i: usize, n: usize) -> Event<WidePayload> {
-    Event {
-        time: SimTime::new(((i * 7919) % n) as f64),
-        seq: 0,
-        src: EntityId::new(0),
-        dst: EntityId::new(0),
-        kind: grid_des::EventKind::Message,
-        payload: [i as u64; 12],
-    }
-}
-
-/// Compares the two future-event-list layouts on an identical schedule: the
-/// index-based 4-ary heap (sift moves 24-byte keys) vs. the retained
-/// `BinaryHeap<Event>` baseline (sift memmoves the whole payload).  This
-/// measurement decides the engine's layout; see `bench_perf` for the tracked
-/// numbers.
+/// Compares the two future-event-list layouts on the engine's access
+/// pattern ([`engine_pattern`]: a pre-start burst of `n` arrivals, then a
+/// hold loop; at [`ARRIVALS`] it holds the in-flight depth of a measured
+/// federation run): the engine's integer-keyed 4-ary index heap vs. the
+/// retained `BinaryHeap<Event>` baseline (sift memmoves the whole
+/// payload).  See `bench_perf` for the tracked numbers.
 fn event_queue_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_event_queue");
-    for n in [1_000usize, 10_000, 100_000] {
+    for n in [ARRIVALS / 10, ARRIVALS] {
         group.bench_with_input(BenchmarkId::new("dary_index_heap", n), &n, |b, &n| {
             b.iter(|| {
-                let mut q: EventQueue<WidePayload> = EventQueue::with_capacity(n);
-                for i in 0..n {
-                    q.push(wide_event(i, n));
-                }
-                let mut acc = 0u64;
-                while let Some(ev) = q.pop() {
-                    acc = acc.wrapping_add(ev.payload[0]);
-                }
-                black_box(acc)
+                let mut q: EventQueue<WidePayload> = EventQueue::new();
+                black_box(engine_pattern(&mut q, n, |i| [i as u64; 12]))
             })
         });
         group.bench_with_input(BenchmarkId::new("binary_heap_baseline", n), &n, |b, &n| {
             b.iter(|| {
-                let mut q: BinaryHeapEventQueue<WidePayload> = BinaryHeapEventQueue::with_capacity(n);
-                for i in 0..n {
-                    q.push(wide_event(i, n));
-                }
-                let mut acc = 0u64;
-                while let Some(ev) = q.pop() {
-                    acc = acc.wrapping_add(ev.payload[0]);
-                }
-                black_box(acc)
+                let mut q: BinaryHeapEventQueue<WidePayload> = BinaryHeapEventQueue::new();
+                black_box(engine_pattern(&mut q, n, |i| [i as u64; 12]))
             })
         });
     }

@@ -4,10 +4,12 @@
 //! results as `BENCH_perf.json` (the first entry in the repo's perf
 //! trajectory; CI uploads a fresh smoke measurement per push):
 //!
-//! * **event queue**: delivered events/sec through the index-based 4-ary
-//!   heap vs. the retained `BinaryHeap<Event>` layout, using the real
-//!   federation message enum as payload — this measurement, not guesswork,
-//!   justified the layout choice;
+//! * **event queue**: delivered events/sec through the engine's
+//!   integer-keyed 4-ary index heap vs. the retained `BinaryHeap<Event>`
+//!   layout, using the real federation message enum as payload, on the
+//!   engine's access pattern — a pre-start burst of arrivals, then a hold
+//!   loop (pop one, push a follow-up later) with the events per arrival
+//!   and the in-flight depth of a measured `oft-n200-ideal` fedbench run;
 //! * **engine dispatch**: events/sec through `Simulation::run` end to end;
 //! * **admission-control estimator**: ns/quote of the incremental
 //!   availability profile vs. the retained replay oracle on a loaded
@@ -42,8 +44,8 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
-use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimTime, Simulation};
-use grid_bench::populated_directory;
+use grid_des::{BinaryHeapEventQueue, Context, Entity, Event, EventQueue, Simulation};
+use grid_bench::{engine_pattern, populated_directory, FutureEventList, ARRIVALS, FOLLOW_UPS};
 use grid_directory::{FederationDirectory, RankOrder};
 use grid_experiments::exp5::{self, ScalabilitySweep};
 use grid_experiments::exp2;
@@ -102,55 +104,19 @@ fn payload(i: usize) -> FedMessage {
     }
 }
 
-fn queue_event(i: usize, n: usize) -> Event<FedMessage> {
-    Event {
-        time: SimTime::new(((i * 7919) % n) as f64),
-        seq: 0,
-        src: EntityId::new(0),
-        dst: EntityId::new(0),
-        kind: EventKind::Message,
-        payload: payload(i),
-    }
-}
-
-/// Push/pop throughput of the index-based 4-ary heap (events/sec).
-fn bench_dary_queue(n: usize) -> f64 {
+/// Events/sec of one future-event-list layout on the engine's access
+/// pattern ([`engine_pattern`]: a pre-start burst of [`ARRIVALS`], then a
+/// hold loop at the in-flight depth of a measured federation run).
+/// Returns `(events, events/sec)`.
+fn bench_queue<Q: FutureEventList<FedMessage>>(new_queue: impl Fn() -> Q) -> (usize, f64) {
+    let events = ARRIVALS * (1 + FOLLOW_UPS);
     let secs = best_of(3, || {
-        let mut q: EventQueue<FedMessage> = EventQueue::with_capacity(n);
-        let (secs, delivered) = timed(|| {
-            for i in 0..n {
-                q.push(queue_event(i, n));
-            }
-            let mut delivered = 0usize;
-            while q.pop().is_some() {
-                delivered += 1;
-            }
-            delivered
-        });
-        assert_eq!(delivered, n);
+        let mut q = new_queue();
+        let (secs, delivered) = timed(|| engine_pattern(&mut q, ARRIVALS, payload));
+        assert_eq!(delivered, events);
         secs
     });
-    n as f64 / secs
-}
-
-/// Push/pop throughput of the retained `BinaryHeap<Event>` layout.
-fn bench_binary_heap_queue(n: usize) -> f64 {
-    let secs = best_of(3, || {
-        let mut q: BinaryHeapEventQueue<FedMessage> = BinaryHeapEventQueue::with_capacity(n);
-        let (secs, delivered) = timed(|| {
-            for i in 0..n {
-                q.push(queue_event(i, n));
-            }
-            let mut delivered = 0usize;
-            while q.pop().is_some() {
-                delivered += 1;
-            }
-            delivered
-        });
-        assert_eq!(delivered, n);
-        secs
-    });
-    n as f64 / secs
+    (events, events as f64 / secs)
 }
 
 /// Self-ticking entity measuring raw engine dispatch overhead.
@@ -350,15 +316,22 @@ fn json_num(x: f64) -> String {
 
 fn main() {
     let args = parse_args();
-    let (queue_events, dispatch_events, quotes, ranks) = if args.smoke {
-        (20_000usize, 20_000u64, 2_000usize, 50_000usize)
+    let (dispatch_events, quotes, ranks) = if args.smoke {
+        (20_000u64, 2_000usize, 50_000usize)
     } else {
-        (100_000, 200_000, 20_000, 500_000)
+        (200_000, 20_000, 500_000)
     };
 
-    eprintln!("[1/7] event queue layouts ({queue_events} events, FedMessage payload)…");
-    let dary_eps = bench_dary_queue(queue_events);
-    let binary_eps = bench_binary_heap_queue(queue_events);
+    // The event-queue pattern has one size: a shorter burst would not reach
+    // the measured in-flight depth, and a smoke run is gated against the
+    // committed full one.
+    eprintln!("[1/7] event queue layouts ({ARRIVALS} arrivals + follow-ups, FedMessage payload)…");
+    let (queue_events, dary_eps) = bench_queue(EventQueue::new);
+    let (binary_events, binary_eps) = bench_queue(BinaryHeapEventQueue::new);
+    assert_eq!(
+        queue_events, binary_events,
+        "both layouts deliver the same events"
+    );
 
     eprintln!("[2/7] engine dispatch ({dispatch_events} timer events)…");
     let dispatch_eps = bench_dispatch(dispatch_events);
@@ -516,6 +489,7 @@ fn main() {
     let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
     let _ = writeln!(json, "  \"event_queue\": {{");
     let _ = writeln!(json, "    \"payload\": \"FedMessage\",");
+    let _ = writeln!(json, "    \"pattern\": \"burst + hold\",");
     let _ = writeln!(json, "    \"events\": {queue_events},");
     let _ = writeln!(json, "    \"dary_index_heap_events_per_sec\": {},", json_num(dary_eps));
     let _ = writeln!(json, "    \"binary_heap_events_per_sec\": {},", json_num(binary_eps));

@@ -15,6 +15,7 @@
 //! `cargo bench` pass stays in the minutes range; the experiment binaries in
 //! `grid-experiments` regenerate the full-scale numbers.
 
+use grid_des::{BinaryHeapEventQueue, EntityId, Event, EventKind, EventQueue, SimTime};
 use grid_directory::{AnyDirectory, DirectoryBackend, FederationDirectory, Quote};
 use grid_experiments::workloads::WorkloadOptions;
 
@@ -44,6 +45,95 @@ pub fn populated_directory(backend: DirectoryBackend, n: usize) -> AnyDirectory 
     dir
 }
 
+/// The two future-event-list layouts behind one interface, so the
+/// event-queue benches drive both through the same schedule.
+pub trait FutureEventList<M> {
+    /// Schedules an event.
+    fn push(&mut self, event: Event<M>);
+    /// Removes and returns the earliest event.
+    fn pop(&mut self) -> Option<Event<M>>;
+}
+
+impl<M> FutureEventList<M> for EventQueue<M> {
+    fn push(&mut self, event: Event<M>) {
+        EventQueue::push(self, event);
+    }
+    fn pop(&mut self) -> Option<Event<M>> {
+        EventQueue::pop(self)
+    }
+}
+
+impl<M> FutureEventList<M> for BinaryHeapEventQueue<M> {
+    fn push(&mut self, event: Event<M>) {
+        BinaryHeapEventQueue::push(self, event);
+    }
+    fn pop(&mut self) -> Option<Event<M>> {
+        BinaryHeapEventQueue::pop(self)
+    }
+}
+
+/// Follow-up events each arrival spawns in [`engine_pattern`]: a full
+/// `oft-n200-ideal` fedbench run at seed 2005 delivers 2,294,750 events
+/// for 16,650 job arrivals, 137.8 per arrival.
+pub const FOLLOW_UPS: usize = 137;
+
+/// Follow-up delays in [`engine_pattern`] are 1 to `DELAY_SPAN` seconds.
+/// With one arrival per second this holds the in-flight depth where the
+/// same run holds it: a mean of 1,581 events scheduled during the run
+/// pending at each pop (maximum 3,055), next to the arrivals not yet due.
+const DELAY_SPAN: usize = 27;
+
+/// Arrivals that give [`engine_pattern`] the in-flight depth of the
+/// measured run (shorter bursts spend more of their events ramping up and
+/// down); `ARRIVALS × (1 + FOLLOW_UPS)` is 496,800 events.
+pub const ARRIVALS: usize = 3_600;
+
+/// Drives `queue` through the simulation engine's access pattern and
+/// returns the number of events delivered, `arrivals × (1 + FOLLOW_UPS)`.
+///
+/// A pre-start burst schedules `arrivals` events, one per second over
+/// `[0, arrivals)` — in the federation, every job arrival is scheduled
+/// before the clock starts.  Then a hold loop pops the earliest event and,
+/// until its chain of [`FOLLOW_UPS`] is spent, pushes one follow-up 1 to
+/// `DELAY_SPAN` seconds later (a negotiation, a reply, a completion…).
+/// Both numbers come from the measured `oft-n200-ideal` run above, so the
+/// burst accounts for under 1% of the pops, as in a run, and at
+/// [`ARRIVALS`] the in-flight depth averages about 1,570.  Pushing
+/// everything and then popping everything would measure only the burst's
+/// ordering, not what a run pays per event.  The chain position rides in
+/// the event's `src` field.
+pub fn engine_pattern<M>(
+    queue: &mut impl FutureEventList<M>,
+    arrivals: usize,
+    payload: impl Fn(usize) -> M,
+) -> usize {
+    for i in 0..arrivals {
+        queue.push(Event {
+            time: SimTime::new(((i * 7919) % arrivals) as f64),
+            seq: 0,
+            src: EntityId::new(FOLLOW_UPS),
+            dst: EntityId::new(0),
+            kind: EventKind::Message,
+            payload: payload(i),
+        });
+    }
+    let mut delivered = 0;
+    while let Some(event) = queue.pop() {
+        delivered += 1;
+        let hops = event.src.index();
+        if hops > 0 {
+            queue.push(Event {
+                time: event
+                    .time
+                    .after(1.0 + ((delivered * 31) % DELAY_SPAN) as f64),
+                src: EntityId::new(hops - 1),
+                ..event
+            });
+        }
+    }
+    delivered
+}
+
 /// An even smaller configuration for the per-iteration benches that run many
 /// times inside Criterion's measurement loop.
 #[must_use]
@@ -64,6 +154,61 @@ mod tests {
         assert!(bench_options().job_scale < 1.0);
         assert!(tiny_options().job_scale < bench_options().job_scale);
         assert!(tiny_options().duration < bench_options().duration);
+    }
+
+    #[test]
+    fn engine_pattern_delivers_every_chain_on_both_layouts() {
+        let mut dary = EventQueue::new();
+        let mut binary = BinaryHeapEventQueue::new();
+        let delivered = engine_pattern(&mut dary, 50, |i| i);
+        assert_eq!(delivered, 50 * (1 + FOLLOW_UPS));
+        assert_eq!(engine_pattern(&mut binary, 50, |i| i), delivered);
+        assert!(dary.is_empty() && binary.is_empty());
+    }
+
+    /// Counts, at every pop, the follow-ups pending: the events scheduled
+    /// after the burst (an arrival is a chain still at `FOLLOW_UPS` hops).
+    struct DepthProbe {
+        queue: EventQueue<()>,
+        in_flight: usize,
+        pops: usize,
+        depth_sum: usize,
+    }
+
+    impl FutureEventList<()> for DepthProbe {
+        fn push(&mut self, event: Event<()>) {
+            if event.src.index() < FOLLOW_UPS {
+                self.in_flight += 1;
+            }
+            self.queue.push(event);
+        }
+        fn pop(&mut self) -> Option<Event<()>> {
+            let event = self.queue.pop()?;
+            if event.src.index() < FOLLOW_UPS {
+                self.in_flight -= 1;
+            }
+            self.pops += 1;
+            self.depth_sum += self.in_flight;
+            Some(event)
+        }
+    }
+
+    #[test]
+    fn engine_pattern_holds_the_measured_in_flight_depth() {
+        let mut probe = DepthProbe {
+            queue: EventQueue::new(),
+            in_flight: 0,
+            pops: 0,
+            depth_sum: 0,
+        };
+        let delivered = engine_pattern(&mut probe, ARRIVALS, |_| ());
+        assert_eq!(delivered, probe.pops);
+        // The fedbench run the constants come from: mean 1,581.
+        let mean_depth = probe.depth_sum as f64 / probe.pops as f64;
+        assert!(
+            (1_400.0..1_800.0).contains(&mean_depth),
+            "mean in-flight depth {mean_depth}"
+        );
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! * `D(J, R_m)` — the execution (service) time on `R_m`,
 //! * `B(J, R_m)` — the price charged by `R_m`'s owner for that execution.
 
-use crate::resource::ResourceSpec;
+use crate::resource::{PricedResource, ResourceSpec};
 use grid_workload::Job;
 
 /// Total data transferred during the parallel execution of `job`,
 /// `Γ(J, R_k) = α·γ_k` (Eq. 1).  `origin` must be the resource the job
 /// originated at (the paper's `R_k`).
 #[must_use]
-pub fn transfer_volume(job: &Job, origin: &ResourceSpec) -> f64 {
-    job.comm_overhead * origin.bandwidth
+pub fn transfer_volume(job: &Job, origin: &impl PricedResource) -> f64 {
+    job.comm_overhead * origin.bandwidth()
 }
 
 /// Execution time of `job` on `target`,
@@ -26,15 +26,21 @@ pub fn transfer_volume(job: &Job, origin: &ResourceSpec) -> f64 {
 /// the target's: moving a job from a fat-pipe cluster to a thin-pipe cluster
 /// inflates its communication phase proportionally.
 #[must_use]
-pub fn completion_time(job: &Job, target: &ResourceSpec, origin: &ResourceSpec) -> f64 {
-    job.compute_time(target.mips) + job.comm_overhead * origin.bandwidth / target.bandwidth
+#[inline]
+pub fn completion_time(
+    job: &Job,
+    target: &impl PricedResource,
+    origin: &impl PricedResource,
+) -> f64 {
+    job.compute_time(target.mips()) + job.comm_overhead * origin.bandwidth() / target.bandwidth()
 }
 
 /// Cost of executing `job` on `target`, `B(J, R_m) = c_m · l / (µ_m · p)`
 /// (Eq. 4).  Only compute time is charged, as in the paper.
 #[must_use]
-pub fn cost(job: &Job, target: &ResourceSpec) -> f64 {
-    target.price * job.compute_time(target.mips)
+#[inline]
+pub fn cost(job: &Job, target: &impl PricedResource) -> f64 {
+    target.price() * job.compute_time(target.mips())
 }
 
 /// Cost of executing `job` on `target` when the owner charges per 1000 MI of
@@ -46,8 +52,9 @@ pub fn cost(job: &Job, target: &ResourceSpec) -> f64 {
 /// Dollars federation-wide, ≈10⁵ per job) match this per-work convention, so
 /// the economy experiments default to it — see DESIGN.md.
 #[must_use]
-pub fn cost_per_kilo_mi(job: &Job, target: &ResourceSpec) -> f64 {
-    target.price * job.length_mi / 1_000.0
+#[inline]
+pub fn cost_per_kilo_mi(job: &Job, target: &impl PricedResource) -> f64 {
+    target.price() * job.length_mi / 1_000.0
 }
 
 /// Fabricates the QoS constraints the paper assigns to every trace job

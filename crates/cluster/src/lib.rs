@@ -41,4 +41,4 @@ pub use cost::{
     transfer_volume,
 };
 pub use lrms::{ClusterJob, LocalScheduler, SpaceSharedFcfs, StartedJob};
-pub use resource::ResourceSpec;
+pub use resource::{PricedResource, ResourceSpec};

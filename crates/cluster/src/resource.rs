@@ -29,17 +29,36 @@ impl ResourceSpec {
     /// Panics if any numeric field is non-positive.
     #[must_use]
     pub fn new(name: &str, processors: u32, mips: f64, bandwidth: f64, price: f64) -> Self {
-        assert!(processors > 0, "a cluster needs at least one processor");
-        assert!(mips > 0.0, "mips must be positive, got {mips}");
-        assert!(bandwidth > 0.0, "bandwidth must be positive, got {bandwidth}");
-        assert!(price > 0.0, "price must be positive, got {price}");
-        ResourceSpec {
+        let spec = ResourceSpec {
             name: name.to_string(),
             processors,
             mips,
             bandwidth,
             price,
-        }
+        };
+        spec.validate();
+        spec
+    }
+
+    /// Re-checks the invariants [`ResourceSpec::new`] establishes.  The
+    /// fields are public, so a federation re-validates every spec where it
+    /// enters a run; the cost model then prices candidates without
+    /// re-checking.
+    ///
+    /// # Panics
+    /// Panics if any numeric field is non-positive.
+    pub fn validate(&self) {
+        let ResourceSpec {
+            processors,
+            mips,
+            bandwidth,
+            price,
+            ..
+        } = self;
+        assert!(*processors > 0, "a cluster needs at least one processor");
+        assert!(*mips > 0.0, "mips must be positive, got {mips}");
+        assert!(*bandwidth > 0.0, "bandwidth must be positive, got {bandwidth}");
+        assert!(*price > 0.0, "price must be positive, got {price}");
     }
 
     /// Aggregate compute capacity in MIPS (processors × per-processor speed).
@@ -64,6 +83,33 @@ impl ResourceSpec {
             spec.name = format!("{} #{}", self.name, copy + 1);
         }
         spec
+    }
+}
+
+/// The three numbers the cost model (Eq. 2–4) reads from a candidate
+/// resource.  Implemented by [`ResourceSpec`] and by the directory's `Copy`
+/// quotes, so a quote is priced in place, with no allocation.
+pub trait PricedResource {
+    /// Per-processor speed `µ` in MIPS.
+    fn mips(&self) -> f64;
+    /// Interconnect bandwidth `γ` in Gb/s.
+    fn bandwidth(&self) -> f64;
+    /// Access price `c` in Grid Dollars.
+    fn price(&self) -> f64;
+}
+
+impl PricedResource for ResourceSpec {
+    #[inline]
+    fn mips(&self) -> f64 {
+        self.mips
+    }
+    #[inline]
+    fn bandwidth(&self) -> f64 {
+        self.bandwidth
+    }
+    #[inline]
+    fn price(&self) -> f64 {
+        self.price
     }
 }
 

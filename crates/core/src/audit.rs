@@ -173,7 +173,10 @@ impl AuditLedger {
     /// chain by [`AuditLedger::record_job_messages`] instead, which keeps
     /// the outcome chains bit-identical across directory backends.
     pub fn record_outcome(&mut self, rec: &JobRecord) {
-        let mut fields = vec![
+        // Nine common fields plus at most five for the outcome, folded from
+        // a fixed-size array so recording allocates nothing.
+        let mut fields = [0u64; 14];
+        fields[..9].copy_from_slice(&[
             rec.id.origin as u64,
             rec.id.seq as u64,
             rec.strategy as u64,
@@ -183,23 +186,26 @@ impl AuditLedger {
             rec.budget.to_bits(),
             rec.expected_local_response.to_bits(),
             rec.expected_local_cost.to_bits(),
-        ];
-        match rec.outcome {
+        ]);
+        let len = match rec.outcome {
             ExecutionOutcome::Completed {
                 executed_on,
                 start,
                 finish,
                 cost,
-            } => fields.extend([
-                1,
-                executed_on as u64,
-                start.to_bits(),
-                finish.to_bits(),
-                cost.to_bits(),
-            ]),
-            ExecutionOutcome::Rejected => fields.push(0),
-        }
-        self.outcomes[rec.origin].fold(TAG_OUTCOME, &fields);
+            } => {
+                fields[9..].copy_from_slice(&[
+                    1,
+                    executed_on as u64,
+                    start.to_bits(),
+                    finish.to_bits(),
+                    cost.to_bits(),
+                ]);
+                14
+            }
+            ExecutionOutcome::Rejected => 10,
+        };
+        self.outcomes[rec.origin].fold(TAG_OUTCOME, &fields[..len]);
     }
 
     /// Folds a Grid-Dollar transfer into the paying GFA's outcome chain.

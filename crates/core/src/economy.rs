@@ -9,7 +9,7 @@
 //!   job completes, and currency is conserved,
 //! * helpers for applying prices to whole resource sets.
 
-use grid_cluster::ResourceSpec;
+use grid_cluster::{PricedResource, ResourceSpec};
 use grid_workload::Job;
 
 /// The access price of the fastest resource used by the paper's pricing
@@ -38,9 +38,11 @@ pub enum ChargingPolicy {
 }
 
 impl ChargingPolicy {
-    /// The charge for executing `job` on `target` under this policy.
+    /// The charge for executing `job` on `target` (a spec or a directory
+    /// quote) under this policy.
     #[must_use]
-    pub fn charge(self, job: &Job, target: &ResourceSpec) -> f64 {
+    #[inline]
+    pub fn charge(self, job: &Job, target: &impl PricedResource) -> f64 {
         match self {
             ChargingPolicy::PerCpuSecond => grid_cluster::job_cost(job, target),
             ChargingPolicy::PerKiloMi => grid_cluster::cost_per_kilo_mi(job, target),

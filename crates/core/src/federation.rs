@@ -808,6 +808,12 @@ impl FederationBuilder {
         } = self;
         let n = resources.len();
         assert!(n > 0, "a federation needs at least one resource");
+        // Candidates are priced straight from their directory quotes, so
+        // every spec's and repricing's numbers are checked once, here,
+        // where they enter the run.
+        for spec in &resources {
+            spec.validate();
+        }
 
         if config.fabricate_qos {
             for (i, jobs) in workloads.iter_mut().enumerate() {
@@ -818,8 +824,9 @@ impl FederationBuilder {
         for (gfa, _) in &config.departures {
             assert!(*gfa < n, "departure refers to unknown GFA {gfa}");
         }
-        for (gfa, _, _) in &config.repricings {
+        for (gfa, _, price) in &config.repricings {
             assert!(*gfa < n, "repricing refers to unknown GFA {gfa}");
+            assert!(*price > 0.0, "price must be positive, got {price}");
         }
 
         // Decorrelate the overlay's ring placement from the workload seed.
@@ -1512,5 +1519,24 @@ mod tests {
     #[should_panic(expected = "at least one resource")]
     fn empty_federation_panics() {
         let _ = FederationBuilder::new(vec![]).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth must be positive")]
+    fn a_spec_mutated_to_a_non_positive_value_is_rejected_at_run() {
+        let mut resources = two_resources();
+        resources[1].bandwidth = 0.0;
+        let _ = FederationBuilder::new(resources).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "price must be positive")]
+    fn a_non_positive_repricing_is_rejected() {
+        let _ = FederationBuilder::new(two_resources())
+            .config(FederationConfig {
+                repricings: vec![(1, 5.0, 0.0)],
+                ..FederationConfig::default()
+            })
+            .run();
     }
 }

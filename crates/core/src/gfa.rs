@@ -145,11 +145,13 @@ pub struct Gfa {
     /// directory; invalidated automatically when the directory mutates.
     quote_cache: QuoteCache,
     shared: Rc<RefCell<SharedState>>,
-    pending: BTreeMap<JobId, PendingJob>,
+    /// Jobs whose DBC loop is in flight.  Boxed once at arrival, so each
+    /// refused round moves a pointer rather than the whole record.
+    pending: BTreeMap<JobId, Box<PendingJob>>,
     awaiting_remote: BTreeMap<JobId, AwaitingRemote>,
     executing: BTreeMap<JobId, ExecutingJob>,
-    /// Reusable buffer for LRMS start notifications, so the steady-state
-    /// event loop performs no per-event allocation.
+    /// Reusable buffer for LRMS start notifications, so delivering a start
+    /// or finish event allocates nothing.
     scratch: Vec<StartedJob>,
 }
 
@@ -366,7 +368,7 @@ impl Gfa {
                 // no-economy mode the local resource is always the first
                 // candidate (the paper processes locally whenever possible);
                 // in economy mode the ranking alone decides.
-                let pending = PendingJob {
+                let pending = Box::new(PendingJob {
                     job,
                     next_rank: 1,
                     cursor: None,
@@ -378,7 +380,7 @@ impl Gfa {
                     candidate_cost: 0.0,
                     expected_local_response,
                     expected_local_cost,
-                };
+                });
                 self.try_candidates(pending, ctx);
             }
         }
@@ -467,12 +469,14 @@ impl Gfa {
 
     /// Runs the DBC candidate loop until a negotiation is launched, the job
     /// is accepted locally, or the quotes are exhausted (rejection).
-    fn try_candidates(&mut self, mut pending: PendingJob, ctx: &mut Context<'_, FedMessage>) {
+    fn try_candidates(&mut self, mut pending: Box<PendingJob>, ctx: &mut Context<'_, FedMessage>) {
         let now = ctx.now().as_secs();
         let directory_len = self.shared.borrow().directory.len();
-        let job = pending.job.clone();
-        let strategy = job.qos.strategy;
-        let absolute_deadline = job.absolute_deadline();
+        let job_id = pending.job.id;
+        let processors = pending.job.processors;
+        let strategy = pending.job.qos.strategy;
+        let budget = pending.job.qos.budget;
+        let absolute_deadline = pending.job.absolute_deadline();
 
         loop {
             // In the no-economy federation the local cluster is implicitly
@@ -523,7 +527,7 @@ impl Gfa {
             let Some(quote) = candidate else {
                 // Quotes exhausted: the job is dropped.
                 self.record_rejection(
-                    &job,
+                    &pending.job,
                     pending.messages,
                     pending.directory_messages,
                     pending.expected_local_response,
@@ -542,12 +546,11 @@ impl Gfa {
             }
 
             // Static feasibility checks from the quote (no messages).
-            if quote.processors < job.processors {
+            if quote.processors < processors {
                 continue;
             }
-            let candidate_spec = quote.to_spec();
-            let service = completion_time(&job, &candidate_spec, &self.spec);
-            let cost = self.charging.charge(&job, &candidate_spec);
+            let service = completion_time(&pending.job, &quote, &self.spec);
+            let cost = self.charging.charge(&pending.job, &quote);
             if now + service > absolute_deadline + 1e-9 {
                 // Even an unloaded cluster of this speed cannot meet the
                 // deadline; the paper's GFA would not negotiate with it.
@@ -555,7 +558,7 @@ impl Gfa {
             }
             if self.mode == SchedulingMode::Economy
                 && strategy == Strategy::Oft
-                && cost > job.qos.budget + 1e-9
+                && cost > budget + 1e-9
             {
                 // OFT users never select resources they cannot afford.
                 continue;
@@ -578,15 +581,16 @@ impl Gfa {
                             name: "negotiation",
                             start: SimTime::new(now),
                             end: SimTime::new(now),
-                            detail: format!("{} self", job.id),
+                            detail: format!("{job_id} self"),
                         });
                     }
                 }
                 pending.messages += 2;
-                let estimate = self.lrms.estimate_completion(job.processors, service, now);
+                let estimate = self.lrms.estimate_completion(processors, service, now);
                 if !self.departed && estimate <= absolute_deadline + 1e-9 {
+                    let pending = *pending;
                     self.accept_locally(
-                        job,
+                        pending.job,
                         service,
                         cost,
                         pending.messages,
@@ -608,8 +612,6 @@ impl Gfa {
             pending.negotiation_start = now;
             let attempt = u32::try_from(pending.next_rank - 1).unwrap_or(u32::MAX);
             let origin = self.index;
-            let job_id = job.id;
-            let processors = job.processors;
             self.send_protocol(
                 quote.gfa,
                 MessageType::Negotiate,
@@ -627,7 +629,7 @@ impl Gfa {
                 },
                 ctx,
             );
-            self.pending.insert(job.id, pending);
+            self.pending.insert(job_id, pending);
             return;
         }
     }
@@ -1025,7 +1027,11 @@ impl Gfa {
     /// usually evicted the crashed store and repaired its replicas — and
     /// once the retry budget is exhausted, treat the directory as
     /// unreachable and fall back to local-only scheduling.
-    fn defer_after_fault(&mut self, mut pending: PendingJob, ctx: &mut Context<'_, FedMessage>) {
+    fn defer_after_fault(
+        &mut self,
+        mut pending: Box<PendingJob>,
+        ctx: &mut Context<'_, FedMessage>,
+    ) {
         self.shared
             .borrow_mut()
             .metrics

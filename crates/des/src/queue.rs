@@ -6,12 +6,13 @@
 //! property the Grid-Federation experiments rely on (identical seeds must
 //! reproduce identical figures).
 //!
-//! The heap itself stores only small fixed-size keys (`time`, `seq`, slot
-//! index); the payloads live in a slab indexed by slot.  Sift operations
-//! therefore move 24-byte keys regardless of how wide the model's message
-//! enum is — the federation's `FedMessage` carries whole jobs — and the
-//! 4-ary layout halves the tree depth relative to a binary heap.  The
-//! pre-overhaul `BinaryHeap<Event<M>>` layout is retained as
+//! The heap stores only small fixed-size integer keys: the time as
+//! [`SimTime::order_bits`], the sequence number and a slab slot.  Ordering
+//! is a pair of integer compares, and sift operations move 24-byte keys
+//! regardless of how wide the model's message enum is — the federation's
+//! `FedMessage` carries whole jobs.  The payloads live in a slab indexed by
+//! slot, and the 4-ary layout halves the tree depth relative to a binary
+//! heap.  The pre-overhaul `BinaryHeap<Event<M>>` layout is retained as
 //! [`BinaryHeapEventQueue`] so the micro benches (and `bench_perf`) keep
 //! measuring the choice instead of assuming it.
 
@@ -25,11 +26,12 @@ use crate::time::SimTime;
 /// share a cache line's worth of keys.
 const D: usize = 4;
 
-/// Compact heap entry: total order on `(time, seq)`, payload referenced by
-/// slab slot.
+/// Compact queue entry: total order on `(time, seq)` as integers, payload
+/// referenced by slab slot.
 #[derive(Debug, Clone, Copy)]
 struct HeapKey {
-    time: SimTime,
+    /// [`SimTime::order_bits`] of the event's time.
+    time: u64,
     seq: u64,
     slot: u32,
 }
@@ -37,11 +39,7 @@ struct HeapKey {
 impl HeapKey {
     #[inline]
     fn earlier_than(&self, other: &HeapKey) -> bool {
-        match self.time.cmp(&other.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
-        }
+        (self.time, self.seq) < (other.time, other.seq)
     }
 }
 
@@ -97,7 +95,7 @@ impl<M> EventQueue<M> {
         self.next_seq += 1;
         self.scheduled_total += 1;
         let key = HeapKey {
-            time: event.time,
+            time: event.time.order_bits(),
             seq: event.seq,
             slot: match self.free.pop() {
                 Some(slot) => {
@@ -106,7 +104,7 @@ impl<M> EventQueue<M> {
                 }
                 None => {
                     // Documented capacity limit (see `# Panics`): the 4-byte
-                    // heap key is what makes the queue cache-friendly.
+                    // slot index is what keeps the keys compact.
                     // fedlint: allow(hot-path-unwrap)
                     let slot = u32::try_from(self.slots.len())
                         .expect("more than u32::MAX pending events");
@@ -142,7 +140,7 @@ impl<M> EventQueue<M> {
     /// primitive the simulation loop uses instead of a separate
     /// peek-then-pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event<M>> {
-        if self.heap.first()?.time > limit {
+        if self.heap.first()?.time > limit.order_bits() {
             return None;
         }
         self.pop()
@@ -151,7 +149,9 @@ impl<M> EventQueue<M> {
     /// Returns the timestamp of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.time)
+        // The key maps −0.0 to +0.0; the event keeps the time as scheduled.
+        let root = self.heap.first()?;
+        self.slots[root.slot as usize].as_ref().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -186,7 +186,7 @@ impl<M> EventQueue<M> {
         if let Some(event) = self.slots[root.slot as usize].as_mut() {
             event.time = new_time;
         }
-        self.heap[0].time = new_time;
+        self.heap[0].time = new_time.order_bits();
         true
     }
 

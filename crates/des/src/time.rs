@@ -1,8 +1,10 @@
 //! Simulation time.
 //!
 //! Time is represented as `f64` seconds wrapped in a [`SimTime`] newtype so
-//! that it implements a **total order** (NaN values are rejected at
-//! construction) and can be stored inside the binary-heap event queue.
+//! that it implements a **total order** (NaN, infinite and negative values
+//! are rejected at construction).  The event queue orders by
+//! [`SimTime::order_bits`], an integer key equal in order to the `f64`
+//! value, so a heap comparison is two integer compares.
 //! The unit matches the paper: *simulation seconds* ("Sim Units").
 
 use std::cmp::Ordering;
@@ -32,6 +34,7 @@ impl SimTime {
     /// Panics if `secs` is NaN, infinite or negative — such values would
     /// corrupt the event queue ordering.
     #[must_use]
+    #[inline]
     pub fn new(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -48,8 +51,24 @@ impl SimTime {
 
     /// Returns the raw number of seconds.
     #[must_use]
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
+    }
+
+    /// The integer ordering key of this time: the IEEE-754 bit pattern of
+    /// the value after `+ 0.0`, which maps −0.0 to +0.0.
+    ///
+    /// `new` and `after` reject NaN and negative values, and for
+    /// non-negative `f64`s the bit pattern grows monotonically with the
+    /// value (+∞, reachable only through unchecked `+` overflow, sorts
+    /// last).  So `a.order_bits().cmp(&b.order_bits()) == a.cmp(&b)` for
+    /// every pair of `SimTime`s — the event queue relies on this to order
+    /// its heap by integers.
+    #[must_use]
+    #[inline]
+    pub fn order_bits(self) -> u64 {
+        (self.0 + 0.0).to_bits()
     }
 
     /// Returns the time advanced by `delay` seconds.
@@ -57,6 +76,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `delay` is negative or not finite.
     #[must_use]
+    #[inline]
     pub fn after(self, delay: f64) -> Self {
         assert!(
             delay.is_finite() && delay >= 0.0,
@@ -95,12 +115,14 @@ impl SimTime {
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Construction guarantees the value is never NaN, so partial_cmp
         // cannot fail.

@@ -1,6 +1,8 @@
 //! Property-based tests for the discrete-event engine invariants.
 
-use grid_des::{Context, Entity, EntityId, Event, EventQueue, SimRng, SimTime, Simulation};
+use grid_des::{
+    BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimRng, SimTime, Simulation,
+};
 use proptest::prelude::*;
 
 fn make_event(t: f64, payload: u32) -> Event<u32> {
@@ -12,6 +14,40 @@ fn make_event(t: f64, payload: u32) -> Event<u32> {
         kind: grid_des::EventKind::Message,
         payload,
     }
+}
+
+/// Times drawn from a small set so equal-time ties are common; the two
+/// lowest codes are −0.0 and +0.0, which must tie with each other.
+fn tie_heavy_time(code: u32) -> f64 {
+    match code {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::from_bits(1),
+        c => f64::from(c / 3) * 0.5,
+    }
+}
+
+/// A finite non-negative `f64` of one of four classes: a signed zero, a
+/// subnormal, any finite value, or a small integer (so ties occur).
+fn finite_non_negative((class, bits): (u8, u64)) -> f64 {
+    match class {
+        0 => {
+            if bits & 1 == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        }
+        1 => f64::from_bits(bits % (1 << 52)),
+        2 => f64::from_bits(bits % f64::INFINITY.to_bits()),
+        _ => (bits % 8) as f64,
+    }
+}
+
+/// What a delivery is compared on: the exact time bits, the sequence
+/// number and the payload.
+fn delivered(event: Event<u32>) -> (u64, u64, u32) {
+    (event.time.as_secs().to_bits(), event.seq, event.payload)
 }
 
 proptest! {
@@ -47,6 +83,70 @@ proptest! {
         prop_assert_eq!(ta < tb, a < b);
         prop_assert_eq!(ta.max(tb).as_secs(), a.max(b));
         prop_assert_eq!(ta.min(tb).as_secs(), a.min(b));
+    }
+
+    /// `SimTime`'s integer key orders exactly like the `f64` value over
+    /// finite non-negative times, including subnormals and both zeros.
+    #[test]
+    fn simtime_key_order_matches_f64(a in (0u8..4, any::<u64>()), b in (0u8..4, any::<u64>())) {
+        let (x, y) = (finite_non_negative(a), finite_non_negative(b));
+        let (tx, ty) = (SimTime::new(x), SimTime::new(y));
+        prop_assert_eq!(Some(tx.order_bits().cmp(&ty.order_bits())), x.partial_cmp(&y));
+        prop_assert_eq!(tx.order_bits().cmp(&ty.order_bits()), tx.cmp(&ty));
+    }
+
+    /// The engine's queue (an integer-keyed 4-ary index heap) delivers
+    /// exactly what the plain `BinaryHeap<Event>` baseline delivers: a
+    /// pre-start burst full of equal-time ties, then
+    /// interleaved `push`, `pop` and `pop_at_or_before`, with `len`,
+    /// `is_empty` and `peek_time` agreeing after every step.
+    #[test]
+    fn queue_matches_the_binary_heap_baseline(
+        burst in proptest::collection::vec(0u32..24, 0..120),
+        ops in proptest::collection::vec((0u8..3, 0u32..24), 0..300),
+    ) {
+        let mut fast: EventQueue<u32> = EventQueue::new();
+        let mut base: BinaryHeapEventQueue<u32> = BinaryHeapEventQueue::new();
+        let mut payload = 0u32;
+        let agree = |fast: &EventQueue<u32>, base: &BinaryHeapEventQueue<u32>| {
+            assert_eq!(fast.len(), base.len());
+            assert_eq!(fast.is_empty(), base.is_empty());
+            assert_eq!(
+                fast.peek_time().map(|t| t.as_secs().to_bits()),
+                base.peek_time().map(|t| t.as_secs().to_bits())
+            );
+        };
+        for &t in &burst {
+            fast.push(make_event(tie_heavy_time(t), payload));
+            base.push(make_event(tie_heavy_time(t), payload));
+            payload += 1;
+            agree(&fast, &base);
+        }
+        for &(op, t) in &ops {
+            match op {
+                0 => {
+                    fast.push(make_event(tie_heavy_time(t), payload));
+                    base.push(make_event(tie_heavy_time(t), payload));
+                    payload += 1;
+                }
+                1 => prop_assert_eq!(fast.pop().map(delivered), base.pop().map(delivered)),
+                _ => {
+                    let limit = SimTime::new(tie_heavy_time(t));
+                    let expected = if base.peek_time().is_some_and(|head| head <= limit) {
+                        base.pop()
+                    } else {
+                        None
+                    };
+                    prop_assert_eq!(fast.pop_at_or_before(limit).map(delivered), expected.map(delivered));
+                }
+            }
+            agree(&fast, &base);
+        }
+        while let Some(event) = base.pop() {
+            prop_assert_eq!(fast.pop().map(delivered), Some(delivered(event)));
+            agree(&fast, &base);
+        }
+        prop_assert!(fast.pop().is_none());
     }
 
     /// Derived RNG streams replay identically for the same (seed, id) pair.

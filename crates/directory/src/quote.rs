@@ -1,6 +1,6 @@
 //! Quotes and the directory interface.
 
-use grid_cluster::ResourceSpec;
+use grid_cluster::{PricedResource, ResourceSpec};
 
 use crate::cursor::RankCursor;
 
@@ -75,6 +75,23 @@ impl Quote {
             self.bandwidth,
             self.price,
         )
+    }
+}
+
+/// Prices a candidate straight from its quote: the numbers are the ones the
+/// publishing GFA's validated [`ResourceSpec`] carried.
+impl PricedResource for Quote {
+    #[inline]
+    fn mips(&self) -> f64 {
+        self.mips
+    }
+    #[inline]
+    fn bandwidth(&self) -> f64 {
+        self.bandwidth
+    }
+    #[inline]
+    fn price(&self) -> f64 {
+        self.price
     }
 }
 
@@ -370,5 +387,17 @@ mod tests {
         assert_eq!(back.bandwidth, spec.bandwidth);
         assert_eq!(back.price, spec.price);
         assert_eq!(back.name, "gfa-3");
+    }
+
+    #[test]
+    fn quote_prices_like_its_spec() {
+        let spec = ResourceSpec::new("CTC SP2", 512, 850.0, 2.0, 4.84);
+        let q = Quote::from_spec(3, &spec);
+        assert_eq!(PricedResource::mips(&q), PricedResource::mips(&spec));
+        assert_eq!(
+            PricedResource::bandwidth(&q),
+            PricedResource::bandwidth(&spec)
+        );
+        assert_eq!(PricedResource::price(&q), PricedResource::price(&spec));
     }
 }
