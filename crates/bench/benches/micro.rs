@@ -19,8 +19,9 @@ type WidePayload = [u64; 12];
 
 /// Compares the two future-event-list layouts on the engine's access
 /// pattern ([`engine_pattern`]: a pre-start burst of `n` arrivals, then a
-/// hold loop; at [`ARRIVALS`] it holds the in-flight depth of a measured
-/// federation run): the engine's integer-keyed 4-ary index heap vs. the
+/// hold loop of constant-latency sends and finish timers; at [`ARRIVALS`]
+/// it holds the in-flight depth of a measured federation run): the
+/// engine's integer-keyed 4-ary index heap with its FIFO lane vs. the
 /// retained `BinaryHeap<Event>` baseline (sift memmoves the whole
 /// payload).  See `bench_perf` for the tracked numbers.
 fn event_queue_throughput(c: &mut Criterion) {

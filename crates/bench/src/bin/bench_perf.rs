@@ -4,11 +4,13 @@
 //! results as `BENCH_perf.json` (the first entry in the repo's perf
 //! trajectory; CI uploads a fresh smoke measurement per push):
 //!
-//! * **event queue**: delivered events/sec through the engine's
-//!   integer-keyed 4-ary index heap vs. the retained `BinaryHeap<Event>`
-//!   layout, using the real federation message enum as payload, on the
-//!   engine's access pattern — a pre-start burst of arrivals, then a hold
-//!   loop (pop one, push a follow-up later) with the events per arrival
+//! * **event queue**: delivered events/sec through the engine's queue
+//!   (integer-keyed 4-ary index heap plus a FIFO lane for constant-delay
+//!   sends) vs. the retained `BinaryHeap<Event>` layout, using the real
+//!   federation message enum as payload, on the engine's access pattern —
+//!   a pre-start burst of arrivals, then a hold loop (pop one, send a
+//!   follow-up at the federation's latency, end each chain with an
+//!   absolute finish timer) with the events per arrival, the laned share
 //!   and the in-flight depth of a measured `oft-n200-ideal` fedbench run;
 //! * **engine dispatch**: events/sec through `Simulation::run` end to end;
 //! * **admission-control estimator**: ns/quote of the incremental
@@ -444,7 +446,7 @@ fn main() {
     let easy_speedup = easy_rep / easy_inc;
     let sweep_speedup = seq_secs / par_secs;
     eprintln!(
-        "event queue: 4-ary index heap {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
+        "event queue: 4-ary index heap + lane {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
         dary_eps,
         binary_eps,
         dary_eps / binary_eps
@@ -489,7 +491,7 @@ fn main() {
     let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
     let _ = writeln!(json, "  \"event_queue\": {{");
     let _ = writeln!(json, "    \"payload\": \"FedMessage\",");
-    let _ = writeln!(json, "    \"pattern\": \"burst + hold\",");
+    let _ = writeln!(json, "    \"pattern\": \"burst + hold + lane\",");
     let _ = writeln!(json, "    \"events\": {queue_events},");
     let _ = writeln!(json, "    \"dary_index_heap_events_per_sec\": {},", json_num(dary_eps));
     let _ = writeln!(json, "    \"binary_heap_events_per_sec\": {},", json_num(binary_eps));

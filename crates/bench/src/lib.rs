@@ -48,8 +48,11 @@ pub fn populated_directory(backend: DirectoryBackend, n: usize) -> AnyDirectory 
 /// The two future-event-list layouts behind one interface, so the
 /// event-queue benches drive both through the same schedule.
 pub trait FutureEventList<M> {
-    /// Schedules an event.
+    /// Schedules an event at an absolute time.
     fn push(&mut self, event: Event<M>);
+    /// Schedules an event `delay` seconds after the caller's clock, the
+    /// engine's `send`/`timer` entry point.
+    fn push_relative(&mut self, event: Event<M>, delay: f64);
     /// Removes and returns the earliest event.
     fn pop(&mut self) -> Option<Event<M>>;
 }
@@ -57,6 +60,9 @@ pub trait FutureEventList<M> {
 impl<M> FutureEventList<M> for EventQueue<M> {
     fn push(&mut self, event: Event<M>) {
         EventQueue::push(self, event);
+    }
+    fn push_relative(&mut self, event: Event<M>, delay: f64) {
+        EventQueue::push_relative(self, event, delay);
     }
     fn pop(&mut self) -> Option<Event<M>> {
         EventQueue::pop(self)
@@ -67,6 +73,10 @@ impl<M> FutureEventList<M> for BinaryHeapEventQueue<M> {
     fn push(&mut self, event: Event<M>) {
         BinaryHeapEventQueue::push(self, event);
     }
+    /// The baseline has no lane: every event is a heap push.
+    fn push_relative(&mut self, event: Event<M>, _delay: f64) {
+        BinaryHeapEventQueue::push(self, event);
+    }
     fn pop(&mut self) -> Option<Event<M>> {
         BinaryHeapEventQueue::pop(self)
     }
@@ -74,14 +84,21 @@ impl<M> FutureEventList<M> for BinaryHeapEventQueue<M> {
 
 /// Follow-up events each arrival spawns in [`engine_pattern`]: a full
 /// `oft-n200-ideal` fedbench run at seed 2005 delivers 2,294,750 events
-/// for 16,650 job arrivals, 137.8 per arrival.
+/// for 16,650 job arrivals, 137.8 per arrival.  All but one are sends at
+/// [`LATENCY`] (2,261,450 of the run's events); the last is the job's
+/// finish timer at an absolute time.
 pub const FOLLOW_UPS: usize = 137;
 
-/// Follow-up delays in [`engine_pattern`] are 1 to `DELAY_SPAN` seconds.
-/// With one arrival per second this holds the in-flight depth where the
-/// same run holds it: a mean of 1,581 events scheduled during the run
-/// pending at each pop (maximum 3,055), next to the arrivals not yet due.
-const DELAY_SPAN: usize = 27;
+/// The federation's one-way message latency in seconds
+/// (`FederationConfig::latency`).
+const LATENCY: f64 = 0.05;
+
+/// Seconds from a chain's last send to its finish timer in
+/// [`engine_pattern`].  With one arrival per second this holds the
+/// in-flight depth where the measured run holds it: a mean of 1,581 events
+/// scheduled during the run pending at each pop, 1,576 of them heap timers
+/// and 5.6 in-flight sends.
+const FINISH_AFTER: f64 = 2_340.0;
 
 /// Arrivals that give [`engine_pattern`] the in-flight depth of the
 /// measured run (shorter bursts spend more of their events ramping up and
@@ -94,14 +111,15 @@ pub const ARRIVALS: usize = 3_600;
 /// A pre-start burst schedules `arrivals` events, one per second over
 /// `[0, arrivals)` — in the federation, every job arrival is scheduled
 /// before the clock starts.  Then a hold loop pops the earliest event and,
-/// until its chain of [`FOLLOW_UPS`] is spent, pushes one follow-up 1 to
-/// `DELAY_SPAN` seconds later (a negotiation, a reply, a completion…).
-/// Both numbers come from the measured `oft-n200-ideal` run above, so the
-/// burst accounts for under 1% of the pops, as in a run, and at
-/// [`ARRIVALS`] the in-flight depth averages about 1,570.  Pushing
-/// everything and then popping everything would measure only the burst's
-/// ordering, not what a run pays per event.  The chain position rides in
-/// the event's `src` field.
+/// until its chain of [`FOLLOW_UPS`] is spent, schedules the next one: a
+/// send [`LATENCY`] later through the relative entry point (a negotiation,
+/// a reply…), and after the last send a finish timer at an absolute time.
+/// The numbers come from the measured `oft-n200-ideal` run above, so the
+/// burst accounts for under 1% of the pops and 98.6% of the events are
+/// constant-latency sends, as in a run, and at [`ARRIVALS`] the in-flight
+/// depth averages about 1,580.  Pushing everything and then popping
+/// everything would measure only the burst's ordering, not what a run pays
+/// per event.  The chain position rides in the event's `src` field.
 pub fn engine_pattern<M>(
     queue: &mut impl FutureEventList<M>,
     arrivals: usize,
@@ -121,12 +139,19 @@ pub fn engine_pattern<M>(
     while let Some(event) = queue.pop() {
         delivered += 1;
         let hops = event.src.index();
-        if hops > 0 {
+        if hops > 1 {
+            queue.push_relative(
+                Event {
+                    time: event.time.after(LATENCY),
+                    src: EntityId::new(hops - 1),
+                    ..event
+                },
+                LATENCY,
+            );
+        } else if hops == 1 {
             queue.push(Event {
-                time: event
-                    .time
-                    .after(1.0 + ((delivered * 31) % DELAY_SPAN) as f64),
-                src: EntityId::new(hops - 1),
+                time: event.time.after(FINISH_AFTER),
+                src: EntityId::new(0),
                 ..event
             });
         }
@@ -182,6 +207,10 @@ mod tests {
             }
             self.queue.push(event);
         }
+        fn push_relative(&mut self, event: Event<()>, delay: f64) {
+            self.in_flight += 1;
+            self.queue.push_relative(event, delay);
+        }
         fn pop(&mut self) -> Option<Event<()>> {
             let event = self.queue.pop()?;
             if event.src.index() < FOLLOW_UPS {
@@ -203,12 +232,15 @@ mod tests {
         };
         let delivered = engine_pattern(&mut probe, ARRIVALS, |_| ());
         assert_eq!(delivered, probe.pops);
-        // The fedbench run the constants come from: mean 1,581.
+        // The fedbench run the constants come from: mean 1,581, and 98.5%
+        // of its events laned.
         let mean_depth = probe.depth_sum as f64 / probe.pops as f64;
         assert!(
             (1_400.0..1_800.0).contains(&mean_depth),
             "mean in-flight depth {mean_depth}"
         );
+        let laned = probe.queue.laned_total() as f64 / delivered as f64;
+        assert!((0.98..0.99).contains(&laned), "laned share {laned}");
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! Entities and the context handle they use to interact with the engine.
+//!
+//! [`Context::send`] and [`Context::timer`] schedule `delay` seconds from
+//! now through [`EventQueue::push_relative`], so a model that sends with
+//! one constant latency fills the queue's FIFO lane instead of its heap;
+//! [`Context::send_at`] and [`Context::timer_at`] schedule at absolute
+//! times through the heap.  Delivery order does not depend on the route.
 
 use std::fmt;
 
@@ -93,7 +99,8 @@ impl<'a, M> Context<'a, M> {
     /// # Panics
     /// Panics if `delay` is negative or not finite.
     pub fn send(&mut self, dst: EntityId, delay: f64, payload: M) {
-        self.schedule(dst, self.now.after(delay), EventKind::Message, payload);
+        let event = self.event(dst, self.now.after(delay), EventKind::Message, payload);
+        self.queue.push_relative(event, delay);
     }
 
     /// Sends a message delivered at an absolute time `at` (must not be in the
@@ -107,13 +114,19 @@ impl<'a, M> Context<'a, M> {
             "cannot schedule an event in the past ({at} < {})",
             self.now
         );
-        self.schedule(dst, at, EventKind::Message, payload);
+        let event = self.event(dst, at, EventKind::Message, payload);
+        self.queue.push(event);
     }
 
     /// Schedules a timer on the calling entity itself, firing after `delay`
     /// seconds.
+    ///
+    /// # Panics
+    /// Panics if `delay` is negative or not finite.
     pub fn timer(&mut self, delay: f64, payload: M) {
-        self.schedule(self.self_id, self.now.after(delay), EventKind::Timer, payload);
+        let at = self.now.after(delay);
+        let event = self.event(self.self_id, at, EventKind::Timer, payload);
+        self.queue.push_relative(event, delay);
     }
 
     /// Schedules a timer on the calling entity at absolute time `at`.
@@ -126,7 +139,8 @@ impl<'a, M> Context<'a, M> {
             "cannot schedule a timer in the past ({at} < {})",
             self.now
         );
-        self.schedule(self.self_id, at, EventKind::Timer, payload);
+        let event = self.event(self.self_id, at, EventKind::Timer, payload);
+        self.queue.push(event);
     }
 
     /// Requests the simulation to stop after the current event completes.
@@ -136,15 +150,15 @@ impl<'a, M> Context<'a, M> {
         *self.stop_requested = true;
     }
 
-    fn schedule(&mut self, dst: EntityId, at: SimTime, kind: EventKind, payload: M) {
-        self.queue.push(Event {
+    fn event(&self, dst: EntityId, at: SimTime, kind: EventKind, payload: M) -> Event<M> {
+        Event {
             time: at,
             seq: 0, // assigned by the queue
             src: self.self_id,
             dst,
             kind,
             payload,
-        });
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //!
 //! * a global simulation clock measured in *simulation seconds* ([`SimTime`]),
 //! * a priority event queue with **deterministic** tie-breaking
-//!   ([`queue::EventQueue`]),
+//!   ([`queue::EventQueue`]): a 4-ary index heap plus a FIFO lane that
+//!   takes relative-delay events ([`Context::send`], [`Context::timer`])
+//!   sharing one delay and arriving in key order, so a constant-latency
+//!   send is an append instead of a heap push,
 //! * addressable [`Entity`] objects (GFAs, clusters, user populations, …) that
 //!   exchange timestamped messages through a [`Context`] handle,
 //! * per-simulation seeded random number streams so every run is exactly

@@ -1,23 +1,38 @@
 //! The future-event list.
 //!
-//! An **index-based 4-ary min-heap** keyed on `(time, seq)`.  Two events
-//! scheduled for the same instant are delivered in the order they were
-//! scheduled, which makes every simulation run fully deterministic — a
-//! property the Grid-Federation experiments rely on (identical seeds must
-//! reproduce identical figures).
+//! Events are delivered in `(time, seq)` order.  Two events scheduled for
+//! the same instant are delivered in the order they were scheduled, which
+//! makes every simulation run fully deterministic — a property the
+//! Grid-Federation experiments rely on (identical seeds must reproduce
+//! identical figures).
 //!
-//! The heap stores only small fixed-size integer keys: the time as
-//! [`SimTime::order_bits`], the sequence number and a slab slot.  Ordering
-//! is a pair of integer compares, and sift operations move 24-byte keys
-//! regardless of how wide the model's message enum is — the federation's
-//! `FedMessage` carries whole jobs.  The payloads live in a slab indexed by
-//! slot, and the 4-ary layout halves the tree depth relative to a binary
-//! heap.  The pre-overhaul `BinaryHeap<Event<M>>` layout is retained as
-//! [`BinaryHeapEventQueue`] so the micro benches (and `bench_perf`) keep
-//! measuring the choice instead of assuming it.
+//! Pending events live in one of two places:
+//!
+//! * An **index-based 4-ary min-heap**.  It stores only small fixed-size
+//!   integer keys: the time as [`SimTime::order_bits`], the sequence
+//!   number and a slab slot.  Ordering is a pair of integer compares, and
+//!   sift operations move 24-byte keys regardless of how wide the model's
+//!   message enum is — the federation's `FedMessage` carries whole jobs.
+//!   The payloads live in a slab indexed by slot, and the 4-ary layout
+//!   halves the tree depth relative to a binary heap.
+//! * A **FIFO lane** of whole events for relative-delay scheduling
+//!   ([`EventQueue::push_relative`]).  A model that sends every message
+//!   with the same latency from a non-decreasing clock produces delivery
+//!   times that already arrive in key order; appending them to a queue
+//!   skips the heap's sifts and slab bookkeeping.  An event is admitted
+//!   when its delay is bit-equal to the lane's delay — set by the first
+//!   relative push made while the lane is empty — and its key is not
+//!   earlier than the lane's back.  Anything else goes to the heap, so the
+//!   lane is sorted by construction whatever callers do.
+//!
+//! Every pop takes the earlier of the heap root and the lane front under
+//! the same `(time, seq)` key, so the lane never changes delivery order.
+//! The pre-overhaul `BinaryHeap<Event<M>>` layout is retained as
+//! [`BinaryHeapEventQueue`], the differential oracle for that order and
+//! the comparison point of the micro benches (and `bench_perf`).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event::Event;
 use crate::time::SimTime;
@@ -48,8 +63,13 @@ pub struct EventQueue<M> {
     heap: Vec<HeapKey>,
     slots: Vec<Option<Event<M>>>,
     free: Vec<u32>,
+    /// Relative-delay events in key order (see the module docs).
+    lane: VecDeque<Event<M>>,
+    /// Bit pattern of the delay every event in `lane` was pushed with.
+    lane_delay: u64,
     next_seq: u64,
     scheduled_total: u64,
+    laned_total: u64,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -66,22 +86,11 @@ impl<M> EventQueue<M> {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            lane: VecDeque::new(),
+            lane_delay: 0,
             next_seq: 0,
             scheduled_total: 0,
-        }
-    }
-
-    /// Creates an empty queue with pre-allocated capacity, useful when the
-    /// approximate number of in-flight events is known (e.g. one per queued
-    /// job).
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: Vec::with_capacity(cap),
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            next_seq: 0,
-            scheduled_total: 0,
+            laned_total: 0,
         }
     }
 
@@ -89,11 +98,51 @@ impl<M> EventQueue<M> {
     /// next sequence number so callers never need to manage it.
     ///
     /// # Panics
-    /// Panics if more than `u32::MAX` events are pending simultaneously.
+    /// Panics if more than `u32::MAX` events are pending in the heap
+    /// simultaneously.
     pub fn push(&mut self, mut event: Event<M>) {
+        self.stamp(&mut event);
+        self.push_heap(event);
+    }
+
+    /// Schedules an event whose time is the caller's clock plus `delay`
+    /// (the engine's `send` and `timer`).  The event goes to the FIFO lane
+    /// when `delay` is bit-equal to the lane's and its time is not earlier
+    /// than the lane's back (an empty lane takes on `delay`); otherwise to
+    /// the heap.  Delivery order is the same either way.
+    ///
+    /// # Panics
+    /// Panics if more than `u32::MAX` events are pending in the heap
+    /// simultaneously.
+    pub fn push_relative(&mut self, mut event: Event<M>, delay: f64) {
+        self.stamp(&mut event);
+        let admitted = match self.lane.back() {
+            None => {
+                self.lane_delay = delay.to_bits();
+                true
+            }
+            // The new `seq` is the largest yet, so a time not earlier than
+            // the back's keeps the lane in `(time, seq)` order.
+            Some(back) => {
+                delay.to_bits() == self.lane_delay
+                    && event.time.order_bits() >= back.time.order_bits()
+            }
+        };
+        if admitted {
+            self.laned_total += 1;
+            self.lane.push_back(event);
+        } else {
+            self.push_heap(event);
+        }
+    }
+
+    fn stamp(&mut self, event: &mut Event<M>) {
         event.seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
+    }
+
+    fn push_heap(&mut self, event: Event<M>) {
         let key = HeapKey {
             time: event.time.order_bits(),
             seq: event.seq,
@@ -117,8 +166,28 @@ impl<M> EventQueue<M> {
         self.sift_up(self.heap.len() - 1);
     }
 
+    /// Whether the lane front is the earliest pending event: it is
+    /// non-empty and its key precedes the heap root's (if any).
+    #[inline]
+    fn lane_leads(&self) -> bool {
+        match (self.lane.front(), self.heap.first()) {
+            (Some(front), Some(root)) => {
+                (front.time.order_bits(), front.seq) < (root.time, root.seq)
+            }
+            (front, _) => front.is_some(),
+        }
+    }
+
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
+        if self.lane_leads() {
+            self.lane.pop_front()
+        } else {
+            self.pop_heap()
+        }
+    }
+
+    fn pop_heap(&mut self) -> Option<Event<M>> {
         let root = *self.heap.first()?;
         // `first()` just returned, so the heap is non-empty and neither `?`
         // below can actually bail — written `?`-style to keep panicking
@@ -140,15 +209,25 @@ impl<M> EventQueue<M> {
     /// primitive the simulation loop uses instead of a separate
     /// peek-then-pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event<M>> {
-        if self.heap.first()?.time > limit.order_bits() {
-            return None;
+        if self.lane_leads() {
+            if self.lane.front()?.time.order_bits() > limit.order_bits() {
+                return None;
+            }
+            self.lane.pop_front()
+        } else {
+            if self.heap.first()?.time > limit.order_bits() {
+                return None;
+            }
+            self.pop_heap()
         }
-        self.pop()
     }
 
     /// Returns the timestamp of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
+        if self.lane_leads() {
+            return self.lane.front().map(|e| e.time);
+        }
         // The key maps −0.0 to +0.0; the event keeps the time as scheduled.
         let root = self.heap.first()?;
         self.slots[root.slot as usize].as_ref().map(|e| e.time)
@@ -157,13 +236,13 @@ impl<M> EventQueue<M> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Total number of events ever scheduled through this queue.
@@ -172,14 +251,27 @@ impl<M> EventQueue<M> {
         self.scheduled_total
     }
 
+    /// How many of [`Self::scheduled_total`] went through the FIFO lane.
+    #[must_use]
+    pub fn laned_total(&self) -> u64 {
+        self.laned_total
+    }
+
     /// Corrupting test double: rewrites the earliest pending event's
-    /// timestamp to `new_time` **without** restoring heap order, emulating a
-    /// scheduler bug that delivers an event from the past.  Returns `false`
-    /// on an empty queue.  Only exists so the invariant tests can prove the
-    /// engine's time-monotonicity check fires; never compiled into normal
-    /// builds.
+    /// timestamp to `new_time` **without** restoring heap or lane order,
+    /// emulating a scheduler bug that delivers an event from the past.  The
+    /// earliest event is rewritten wherever it lives, lane front or heap
+    /// root.  Returns `false` on an empty queue.  Only exists so the
+    /// invariant tests can prove the engine's time-monotonicity check
+    /// fires; never compiled into normal builds.
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_time(&mut self, new_time: SimTime) -> bool {
+        if self.lane_leads() {
+            if let Some(front) = self.lane.front_mut() {
+                front.time = new_time;
+            }
+            return true;
+        }
         let Some(root) = self.heap.first() else {
             return false;
         };
@@ -195,6 +287,7 @@ impl<M> EventQueue<M> {
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
+        self.lane.clear();
     }
 
     fn sift_up(&mut self, mut idx: usize) {
@@ -369,7 +462,7 @@ mod tests {
 
     #[test]
     fn peek_and_len() {
-        let mut q = EventQueue::with_capacity(4);
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         q.push(event(2.0, 0));
@@ -408,6 +501,29 @@ mod tests {
         assert!(q.pop_at_or_before(SimTime::new(9.999)).is_none());
         assert_eq!(q.pop_at_or_before(SimTime::new(10.0)).unwrap().payload, 1);
         assert!(q.pop_at_or_before(SimTime::new(1e9)).is_none());
+    }
+
+    #[test]
+    fn relative_pushes_of_one_delay_fill_the_lane_and_others_fall_back() {
+        let mut q = EventQueue::new();
+        q.push(event(1.05, 0)); // absolute: heap, ties with the first send
+        q.push_relative(event(1.05, 1), 0.05); // empty lane takes delay 0.05
+        q.push_relative(event(1.10, 2), 0.05);
+        q.push_relative(event(3.0, 3), 2.0); // other delay: heap
+        q.push_relative(event(1.07, 4), 0.05); // before the back: heap
+        q.push_relative(event(1.10, 5), 0.05); // ties the back: lane
+        assert_eq!((q.len(), q.laned_total(), q.scheduled_total()), (6, 3, 6));
+        assert_eq!(q.peek_time(), Some(SimTime::new(1.05)));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, vec![0, 1, 4, 2, 5, 3]);
+        // Once drained, the lane takes the delay of the next relative push.
+        q.push_relative(event(5.0, 6), 2.0);
+        q.push_relative(event(7.0, 7), 2.0);
+        assert_eq!(q.laned_total(), 5);
+        assert!(q.pop_at_or_before(SimTime::new(4.0)).is_none());
+        assert_eq!(q.pop_at_or_before(SimTime::new(5.0)).unwrap().payload, 6);
+        q.clear();
+        assert!(q.is_empty() && q.peek_time().is_none());
     }
 
     #[test]

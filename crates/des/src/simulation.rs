@@ -291,6 +291,7 @@ impl<M: std::fmt::Debug> Simulation<M> {
         };
 
         self.stats.events_scheduled = self.queue.scheduled_total();
+        self.stats.events_laned = self.queue.laned_total();
         self.stats.events_dropped_at_stop = self.queue.len() as u64;
         self.stats.end_time = self.clock;
 
@@ -520,5 +521,70 @@ mod tests {
         sim.set_trace(Box::new(VecTrace::new()));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 1);
+    }
+
+    /// Bounces a ball to its peer at one constant latency for `rounds`
+    /// hops, setting an absolute timer on every hundredth.
+    struct Bouncer {
+        peer: EntityId,
+        rounds: u64,
+    }
+
+    impl Entity<Msg> for Bouncer {
+        fn name(&self) -> &str {
+            "bouncer"
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            ctx.send(self.peer, 0.05, Msg::Payload(0));
+        }
+        fn on_event(&mut self, event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
+            if let Msg::Payload(hop) = event.payload {
+                if hop % 100 == 0 {
+                    ctx.timer_at(ctx.now().after(3.0), Msg::Tick);
+                }
+                if hop < self.rounds {
+                    ctx.send(self.peer, 0.05, Msg::Payload(hop + 1));
+                }
+            }
+        }
+    }
+
+    /// Re-arms itself `remaining` times, always at an absolute time.
+    struct AbsoluteTicker {
+        remaining: u32,
+    }
+
+    impl Entity<Msg> for AbsoluteTicker {
+        fn name(&self) -> &str {
+            "absolute-ticker"
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            ctx.timer_at(SimTime::new(1.0), Msg::Tick);
+        }
+        fn on_event(&mut self, _event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                ctx.timer_at(ctx.now().after(1.0), Msg::Tick);
+            }
+        }
+    }
+
+    #[test]
+    fn constant_latency_sends_ride_the_lane_and_absolute_timers_do_not() {
+        let mut sim = Simulation::new(11);
+        let (a, b) = (EntityId::new(0), EntityId::new(1));
+        sim.add_entity(Box::new(Bouncer { peer: b, rounds: 1_000 }));
+        sim.add_entity(Box::new(Bouncer { peer: a, rounds: 1_000 }));
+        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        let stats = sim.stats();
+        assert_eq!(stats.events_scheduled, stats.events_delivered);
+        let share = stats.events_laned as f64 / stats.events_scheduled as f64;
+        assert!(share >= 0.95, "laned share {share}");
+
+        let mut sim = Simulation::new(11);
+        sim.add_entity(Box::new(AbsoluteTicker { remaining: 50 }));
+        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        assert_eq!(sim.stats().events_scheduled, 51);
+        assert_eq!(sim.stats().events_laned, 0);
     }
 }

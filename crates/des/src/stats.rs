@@ -14,6 +14,9 @@ pub struct SimStats {
     /// Events scheduled (including those still pending or discarded at the
     /// horizon).
     pub events_scheduled: u64,
+    /// How many of `events_scheduled` went through the event queue's FIFO
+    /// lane rather than its heap (see [`crate::EventQueue::push_relative`]).
+    pub events_laned: u64,
     /// Messages between two *different* entities (a subset of
     /// `events_delivered`).
     pub messages_delivered: u64,

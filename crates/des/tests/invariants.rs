@@ -3,7 +3,7 @@
 //! simulated past and the run loop must panic instead of delivering it.
 #![cfg(feature = "invariants")]
 
-use grid_des::{Context, Entity, Event, EventQueue, SimTime, Simulation};
+use grid_des::{Context, Entity, EntityId, Event, EventQueue, SimTime, Simulation};
 
 /// An entity that schedules a few future timers and otherwise does nothing.
 struct Ticker;
@@ -43,6 +43,39 @@ fn reordered_event_trips_the_monotonicity_assert() {
     // ...then corrupt the earliest pending event back to t=5 and keep
     // running: the engine must refuse to run its clock backwards.
     assert!(sim.corrupt_earliest_event_time(SimTime::new(5.0)));
+    sim.run();
+}
+
+/// Sends itself a message every second at a constant delay, so every
+/// pending event after start-up is a laned message.
+struct Echo;
+
+impl Entity<u32> for Echo {
+    fn name(&self) -> &str {
+        "echo"
+    }
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        ctx.send(EntityId::new(0), 1.0, 0);
+    }
+
+    fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        if event.payload < 5 {
+            ctx.send(EntityId::new(0), 1.0, event.payload + 1);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "event from the past")]
+fn reordered_laned_message_trips_the_monotonicity_assert() {
+    let mut sim: Simulation<u32> = Simulation::new(7);
+    sim.add_entity(Box::new(Echo));
+    // Deliver t=1 and t=2; the t=3 message is pending in the lane.
+    sim.run_to(SimTime::new(2.5));
+    assert_eq!(sim.stats().events_delivered, 2);
+    assert_eq!(sim.stats().events_laned, 3);
+    assert!(sim.corrupt_earliest_event_time(SimTime::new(0.5)));
     sim.run();
 }
 

@@ -4,6 +4,7 @@ use grid_des::{
     BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimRng, SimTime, Simulation,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn make_event(t: f64, payload: u32) -> Event<u32> {
     Event {
@@ -41,6 +42,17 @@ fn finite_non_negative((class, bits): (u8, u64)) -> f64 {
         1 => f64::from_bits(bits % (1 << 52)),
         2 => f64::from_bits(bits % f64::INFINITY.to_bits()),
         _ => (bits % 8) as f64,
+    }
+}
+
+/// Relative-push delays: mostly one constant latency, so runs form, plus a
+/// second delay and both signed zeros, so the lane's delay switches.
+fn lane_delay(code: u8) -> f64 {
+    match code {
+        0 | 1 => 0.05,
+        2 => 0.5,
+        3 => 0.0,
+        _ => -0.0,
     }
 }
 
@@ -95,19 +107,26 @@ proptest! {
         prop_assert_eq!(tx.order_bits().cmp(&ty.order_bits()), tx.cmp(&ty));
     }
 
-    /// The engine's queue (an integer-keyed 4-ary index heap) delivers
-    /// exactly what the plain `BinaryHeap<Event>` baseline delivers: a
-    /// pre-start burst full of equal-time ties, then
-    /// interleaved `push`, `pop` and `pop_at_or_before`, with `len`,
-    /// `is_empty` and `peek_time` agreeing after every step.
+    /// The engine's queue (an integer-keyed 4-ary index heap plus a FIFO
+    /// lane) delivers exactly what the plain `BinaryHeap<Event>` baseline
+    /// delivers: a pre-start burst full of equal-time ties, then
+    /// interleaved absolute pushes, relative pushes, `pop` and
+    /// `pop_at_or_before`, with `len`, `is_empty` and `peek_time` agreeing
+    /// after every step.  Relative pushes come from a non-decreasing clock
+    /// (the latest delivery) with runs of one delay, switches between
+    /// delays and signed zero delays; some come from a rewound clock, so
+    /// their times break lane order and must fall back to the heap.
     #[test]
     fn queue_matches_the_binary_heap_baseline(
         burst in proptest::collection::vec(0u32..24, 0..120),
-        ops in proptest::collection::vec((0u8..3, 0u32..24), 0..300),
+        ops in proptest::collection::vec((0u8..7, 0u32..24, 0u8..5), 0..300),
     ) {
         let mut fast: EventQueue<u32> = EventQueue::new();
         let mut base: BinaryHeapEventQueue<u32> = BinaryHeapEventQueue::new();
         let mut payload = 0u32;
+        let mut now = SimTime::ZERO;
+        // `(seq, key time)` of every laned event still pending, in push order.
+        let mut laned: VecDeque<(u64, u64)> = VecDeque::new();
         let agree = |fast: &EventQueue<u32>, base: &BinaryHeapEventQueue<u32>| {
             assert_eq!(fast.len(), base.len());
             assert_eq!(fast.is_empty(), base.is_empty());
@@ -116,37 +135,72 @@ proptest! {
                 base.peek_time().map(|t| t.as_secs().to_bits())
             );
         };
+        // A laned event leaves the lane in FIFO order.
+        let retire = |laned: &mut VecDeque<(u64, u64)>, seq: u64| {
+            if let Some(pos) = laned.iter().position(|&(s, _)| s == seq) {
+                assert_eq!(pos, 0, "laned event {seq} overtook an earlier laned one");
+                laned.pop_front();
+            }
+        };
         for &t in &burst {
             fast.push(make_event(tie_heavy_time(t), payload));
             base.push(make_event(tie_heavy_time(t), payload));
             payload += 1;
             agree(&fast, &base);
         }
-        for &(op, t) in &ops {
+        for &(op, t, d) in &ops {
             match op {
                 0 => {
                     fast.push(make_event(tie_heavy_time(t), payload));
                     base.push(make_event(tie_heavy_time(t), payload));
                     payload += 1;
                 }
-                1 => prop_assert_eq!(fast.pop().map(delivered), base.pop().map(delivered)),
+                1..=3 => {
+                    let delay = lane_delay(d);
+                    let clock = if op == 3 { SimTime::new(tie_heavy_time(t)) } else { now };
+                    let at = clock.after(delay).as_secs();
+                    let before = fast.laned_total();
+                    fast.push_relative(make_event(at, payload), delay);
+                    base.push(make_event(at, payload));
+                    if fast.laned_total() > before {
+                        let key = SimTime::new(at).order_bits();
+                        prop_assert!(laned.back().map_or(true, |&(_, back)| key >= back));
+                        laned.push_back((u64::from(payload), key));
+                    }
+                    payload += 1;
+                }
+                4 => {
+                    let expected = base.pop().map(delivered);
+                    prop_assert_eq!(fast.pop().map(delivered), expected);
+                    if let Some((bits, seq, _)) = expected {
+                        retire(&mut laned, seq);
+                        now = now.max(SimTime::new(f64::from_bits(bits)));
+                    }
+                }
                 _ => {
                     let limit = SimTime::new(tie_heavy_time(t));
                     let expected = if base.peek_time().is_some_and(|head| head <= limit) {
-                        base.pop()
+                        base.pop().map(delivered)
                     } else {
                         None
                     };
-                    prop_assert_eq!(fast.pop_at_or_before(limit).map(delivered), expected.map(delivered));
+                    prop_assert_eq!(fast.pop_at_or_before(limit).map(delivered), expected);
+                    if let Some((bits, seq, _)) = expected {
+                        retire(&mut laned, seq);
+                        now = now.max(SimTime::new(f64::from_bits(bits)));
+                    }
                 }
             }
             agree(&fast, &base);
         }
         while let Some(event) = base.pop() {
-            prop_assert_eq!(fast.pop().map(delivered), Some(delivered(event)));
+            let expected = delivered(event);
+            prop_assert_eq!(fast.pop().map(delivered), Some(expected));
+            retire(&mut laned, expected.1);
             agree(&fast, &base);
         }
         prop_assert!(fast.pop().is_none());
+        prop_assert!(laned.is_empty());
     }
 
     /// Derived RNG streams replay identically for the same (seed, id) pair.
