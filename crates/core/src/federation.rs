@@ -502,7 +502,7 @@ impl SharedState {
                         name: "job",
                         start: grid_des::SimTime::new(record.submit),
                         end: grid_des::SimTime::new(finish),
-                        detail: format!("{} completed", record.id),
+                        detail: crate::spans::lifecycle(record.id, true),
                     });
                 }
             }
@@ -515,7 +515,7 @@ impl SharedState {
                         name: "job",
                         start: grid_des::SimTime::new(record.submit),
                         end: grid_des::SimTime::new(record.submit),
-                        detail: format!("{} rejected", record.id),
+                        detail: crate::spans::lifecycle(record.id, false),
                     });
                 }
             }
@@ -526,19 +526,19 @@ impl SharedState {
     /// Forwards a completed span to the armed trace sink, if any.
     pub fn emit_span(&self, record: SpanRecord) {
         if let Some(tracer) = &self.tracer {
-            grid_des::TraceSink::span(&mut *tracer.borrow_mut(), record);
+            tracer.borrow_mut().span(record);
         }
     }
 
     /// Forwards one endpoint of a cross-GFA flow to the armed trace sink.
     pub fn emit_flow(&self, record: FlowRecord) {
         if let Some(tracer) = &self.tracer {
-            grid_des::TraceSink::flow(&mut *tracer.borrow_mut(), record);
+            tracer.borrow_mut().flow(record);
         }
     }
 
-    /// Whether a span-aware trace sink is armed (emission sites use this to
-    /// skip building detail strings on untraced runs).
+    /// Whether a span collector is armed (emission sites use this to skip
+    /// building span records on untraced runs).
     #[must_use]
     pub fn trace_armed(&self) -> bool {
         self.tracer.is_some()

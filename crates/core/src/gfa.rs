@@ -460,7 +460,7 @@ impl Gfa {
                     name: "probe",
                     start: SimTime::new(now),
                     end: SimTime::new(now + seconds),
-                    detail: format!("rank {r}{}", if fault { " (faulted)" } else { "" }),
+                    detail: crate::spans::probe(r, fault),
                 });
             }
         }
@@ -581,7 +581,7 @@ impl Gfa {
                             name: "negotiation",
                             start: SimTime::new(now),
                             end: SimTime::new(now),
-                            detail: format!("{job_id} self"),
+                            detail: crate::spans::self_negotiation(job_id),
                         });
                     }
                 }
@@ -793,10 +793,7 @@ impl Gfa {
                     name: "negotiation",
                     start: SimTime::new(pending.negotiation_start),
                     end: SimTime::new(ctx.now().as_secs()),
-                    detail: format!(
-                        "{job} gfa-{candidate} {}",
-                        if accept { "accepted" } else { "refused" }
-                    ),
+                    detail: crate::spans::negotiation(job, candidate, accept),
                 });
             }
         }
@@ -897,7 +894,7 @@ impl Gfa {
                     name: "execute",
                     start: SimTime::new(entry.start.unwrap_or(now)),
                     end: SimTime::new(now),
-                    detail: format!("{job} origin gfa-{}", entry.origin),
+                    detail: crate::spans::execution(job, entry.origin),
                 });
             }
         }

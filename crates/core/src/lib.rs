@@ -69,6 +69,7 @@ pub mod gfa;
 pub mod invariants;
 pub mod messages;
 pub mod metrics;
+mod spans;
 
 pub use audit::{AuditLedger, RunDigest};
 pub use economy::{apply_commodity_pricing, quote_price, ChargingPolicy, GridBank, PAPER_ACCESS_PRICE};

@@ -252,3 +252,96 @@ proptest! {
         prop_assert_eq!(unarmed.metrics, armed.metrics);
     }
 }
+
+/// A denser, deadline-bound workload: bursts of wide jobs that overload
+/// the cheap clusters, so negotiations are refused and some jobs rejected.
+fn contended_workloads(n: usize, jobs_per_gfa: usize) -> Vec<Vec<Job>> {
+    (0..n)
+        .map(|origin| {
+            (0..jobs_per_gfa)
+                .map(|seq| {
+                    let submit = 10.0 + 150.0 * seq as f64 + 13.0 * origin as f64;
+                    let mips = 500.0 + 100.0 * origin as f64;
+                    let processors = [4, 16, 24][(seq + origin) % 3];
+                    let runtime = 400.0 + 200.0 * ((seq * 7 + origin) % 5) as f64;
+                    let mut job = Job::from_runtime(
+                        JobId { origin, seq },
+                        UserId { origin, local: seq % 4 },
+                        submit,
+                        processors,
+                        runtime,
+                        mips,
+                        0.10,
+                    );
+                    job.qos.strategy = if seq % 2 == 0 { Strategy::Ofc } else { Strategy::Oft };
+                    job.qos.deadline = 2.0 * runtime;
+                    job.qos.budget = 1.5 * runtime * f64::from(processors) * (1.0 + 0.5 * origin as f64);
+                    job
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// FNV-1a-64: a small, stable digest to pin a document by.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Golden export: a contended Economy run on Chord under fast churn and
+/// network faults, pinned byte for byte by the FNV-1a-64 of its Chrome
+/// Trace document.  The run is sized so that every detail text the model
+/// renders appears at least once — probe ranks with and without a lookup
+/// fault, self-negotiation, accepted and refused remote negotiations,
+/// execution origins, completed and rejected lifecycles — plus both flow
+/// phases, so the pin covers all of them and not just lifecycle spans.
+#[test]
+fn chrome_trace_export_matches_the_golden_digest() {
+    let (n, jobs_per_gfa) = (8, 32);
+    let churn = ChurnConfig {
+        mean_uptime: 3_000.0,
+        mean_downtime: 1_000.0,
+        replication: 1,
+        ..moderate_churn()
+    };
+    let cfg = config(
+        DirectoryBackend::Chord,
+        Some(churn),
+        Some(NetworkFaultConfig::moderate()),
+        0xC0FFEE,
+    );
+    let tracer = Rc::new(RefCell::new(SpanCollector::new()));
+    let _ = FederationBuilder::new(resources(n))
+        .workloads(contended_workloads(n, jobs_per_gfa))
+        .config(cfg)
+        .tracer(Rc::clone(&tracer))
+        .run();
+    let doc = tracer.borrow().to_chrome_trace();
+
+    let plain_rank = doc.match_indices("\"detail\":\"rank ").any(|(at, needle)| {
+        let rest = &doc[at + needle.len()..];
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        digits > 0 && rest[digits..].starts_with('"')
+    });
+    assert!(plain_rank, "a probe span without a lookup fault is expected");
+    for shape in [
+        " (faulted)\"",
+        " self\"",
+        " accepted\"",
+        " refused\"",
+        " origin gfa-",
+        " completed\"",
+        " rejected\"",
+        "\"ph\":\"s\"",
+        "\"ph\":\"f\"",
+    ] {
+        assert!(doc.contains(shape), "the golden run must render {shape:?}");
+    }
+    assert_eq!(
+        (doc.len(), format!("{:016x}", fnv1a64(doc.as_bytes()))),
+        (337_412, String::from("2ba57b377621f2f1")),
+        "the Chrome Trace export changed"
+    );
+}

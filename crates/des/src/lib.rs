@@ -14,8 +14,9 @@
 //!   exchange timestamped messages through a [`Context`] handle,
 //! * per-simulation seeded random number streams so every run is exactly
 //!   reproducible,
-//! * lightweight engine statistics ([`stats::SimStats`]) and an optional event
-//!   trace for debugging.
+//! * lightweight engine statistics ([`stats::SimStats`]) and the hook types
+//!   a model's observability layer builds on ([`trace`]: causal span and
+//!   flow records, the handler profiler).
 //!
 //! The engine is single-threaded by design: reproducing the paper's figures
 //! requires bitwise-identical event ordering across runs.  Parallelism in this
@@ -87,4 +88,4 @@ pub use rng::SimRng;
 pub use simulation::{RunOutcome, Simulation};
 pub use stats::SimStats;
 pub use time::SimTime;
-pub use trace::{EventProfiler, FlowRecord, SpanRecord, SpanTrack, TraceRecord, TraceSink};
+pub use trace::{EventProfiler, FlowRecord, SpanDetail, SpanRecord, SpanTrack};

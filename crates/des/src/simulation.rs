@@ -6,7 +6,7 @@ use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::stats::SimStats;
 use crate::time::SimTime;
-use crate::trace::{truncate_label, EventProfiler, TraceRecord, TraceSink};
+use crate::trace::EventProfiler;
 
 /// Why a [`Simulation::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +34,6 @@ pub struct Simulation<M> {
     rng: SimRng,
     horizon: Option<SimTime>,
     max_events: u64,
-    /// Installed trace sink, if any.  Kept optional so the per-event
-    /// `format!("{:?}", payload)` label is only paid when someone records.
-    trace: Option<Box<dyn TraceSink>>,
     /// Installed handler profiler, if any.  The disabled path is a single
     /// `Option` discriminant test per event — measured by the dispatch
     /// perf gate, which is exactly the hot path this sits on.
@@ -44,7 +41,7 @@ pub struct Simulation<M> {
     started: bool,
 }
 
-impl<M: std::fmt::Debug> Simulation<M> {
+impl<M> Simulation<M> {
     /// Creates a simulation with the given master seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
@@ -57,7 +54,6 @@ impl<M: std::fmt::Debug> Simulation<M> {
             rng: SimRng::derive(seed, u64::MAX),
             horizon: None,
             max_events: u64::MAX,
-            trace: None,
             profiler: None,
             started: false,
         }
@@ -73,11 +69,6 @@ impl<M: std::fmt::Debug> Simulation<M> {
     /// Caps the total number of delivered events (default: unlimited).
     pub fn set_max_events(&mut self, limit: u64) {
         self.max_events = limit;
-    }
-
-    /// Installs a trace sink that receives every delivered event.
-    pub fn set_trace(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
     }
 
     /// Installs a handler profiler whose `enter`/`exit` bracket every
@@ -252,20 +243,6 @@ impl<M: std::fmt::Debug> Simulation<M> {
                 }
                 EventKind::Timer => self.stats.timers_delivered += 1,
                 EventKind::Message => {}
-            }
-
-            if let Some(trace) = self.trace.as_deref_mut() {
-                // The debug-format label is only rendered when a sink is
-                // actually installed; untraced runs never pay for it.
-                let label = truncate_label(format!("{:?}", event.payload), 96);
-                trace.record(TraceRecord {
-                    time: event.time,
-                    seq: event.seq,
-                    src: event.src,
-                    dst: event.dst,
-                    kind: event.kind,
-                    label,
-                });
             }
 
             let dst = event.dst.index();
@@ -511,14 +488,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_event_ordering() {
-        use crate::trace::VecTrace;
-        // Indirect check: install a VecTrace, run, then confirm counters via
-        // stats (the sink itself is consumed by the simulation).
+    fn a_single_cross_entity_send_counts_one_message() {
         let mut sim = Simulation::new(3);
         let c = sim.add_entity(Box::new(Forwarder { next: None, seen: vec![] }));
         sim.add_entity(Box::new(Kickoff { target: c }));
-        sim.set_trace(Box::new(VecTrace::new()));
         sim.run();
         assert_eq!(sim.stats().messages_delivered, 1);
     }

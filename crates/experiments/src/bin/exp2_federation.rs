@@ -45,7 +45,7 @@ fn main() {
         .wants_trace()
         .then(|| Rc::new(RefCell::new(SpanCollector::new())));
     let result = if tracer.is_some() {
-        exp2::run_with_observers(&options, tracer.clone(), None)
+        exp2::run_with_observers(&options, tracer.clone())
     } else {
         exp2::run(&options)
     };

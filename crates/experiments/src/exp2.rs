@@ -12,7 +12,7 @@ use std::rc::Rc;
 use grid_federation_core::federation::{
     run_federation, FederationBuilder, FederationConfig, SchedulingMode,
 };
-use grid_federation_core::{FederationReport, ProfileTable, SpanCollector};
+use grid_federation_core::{FederationReport, SpanCollector};
 use grid_workload::PopulationProfile;
 
 use crate::report::{f2, DataTable};
@@ -54,14 +54,13 @@ pub fn run(options: &WorkloadOptions) -> Experiment2Result {
     }
 }
 
-/// Runs Experiment 2 with observability sinks armed on the *federated* run
+/// Runs Experiment 2 with the span collector armed on the *federated* run
 /// (the control run stays unarmed — it carries no federation traffic worth
 /// tracing).  Digests are bit-identical to [`run`]'s.
 #[must_use]
 pub fn run_with_observers(
     options: &WorkloadOptions,
     tracer: Option<Rc<RefCell<SpanCollector>>>,
-    profiler: Option<Rc<RefCell<ProfileTable>>>,
 ) -> Experiment2Result {
     let profile = PopulationProfile::recommended();
     let make_config = |mode| FederationConfig {
@@ -81,9 +80,6 @@ pub fn run_with_observers(
         .config(make_config(SchedulingMode::FederationNoEconomy));
     if let Some(tracer) = tracer {
         builder = builder.tracer(tracer);
-    }
-    if let Some(profiler) = profiler {
-        builder = builder.profiler(profiler);
     }
     Experiment2Result {
         independent,

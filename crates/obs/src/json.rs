@@ -8,6 +8,8 @@
 //! the JSON grammar; numbers come back as `f64`, which is exact for every
 //! integer the artifacts contain.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -233,6 +235,17 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[must_use]
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_esc(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal.  Text that
+/// needs no escaping is copied in one piece, without a scratch string.
+pub fn push_esc(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -241,12 +254,11 @@ pub fn esc(s: &str) -> String {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -278,5 +290,9 @@ mod tests {
         let doc = format!("{{ \"k\": \"{}\" }}", esc(nasty));
         let v = parse(&doc).expect("parse escaped");
         assert_eq!(v.get("k").and_then(Json::as_str), Some(nasty));
+        assert_eq!(esc("\u{1f}"), "\\u001f");
+        let mut out = String::from("x");
+        push_esc(&mut out, "plain");
+        assert_eq!(out, "xplain");
     }
 }

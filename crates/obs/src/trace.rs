@@ -1,11 +1,18 @@
 //! Causal span collection and Chrome Trace Format export.
 //!
-//! [`SpanCollector`] is the span-aware [`TraceSink`] implementation: the
-//! federation model pushes completed [`SpanRecord`]s (job lifecycle,
-//! negotiation round-trips, directory probes, execution intervals) and
-//! [`FlowRecord`]s (cross-GFA dispatch/completion arrows keyed by envelope
-//! sequence number), and the collector renders them as a Chrome Trace
-//! Format JSON document loadable in Perfetto or `chrome://tracing`.
+//! [`SpanCollector`] is the span sink of the federation model: the model
+//! pushes completed [`SpanRecord`]s (job lifecycle, negotiation round-trips,
+//! directory probes, execution intervals) and [`FlowRecord`]s (cross-GFA
+//! dispatch/completion arrows keyed by envelope sequence number), and the
+//! collector renders them as a Chrome Trace Format JSON document loadable
+//! in Perfetto or `chrome://tracing`.
+//!
+//! Recording is a copy into a flat buffer: a span's argument text stays a
+//! [`SpanDetail`](grid_des::SpanDetail) (a few integers and the model's
+//! renderer) until [`SpanCollector::to_chrome_trace`] renders it, so an
+//! armed run formats nothing and keeps no per-span heap string alive.  The
+//! export renders each detail into one reused buffer and writes every event
+//! straight into the output document.
 //!
 //! Mapping: one *process* per GFA (`pid` = GFA index), one *thread* per
 //! [`SpanTrack`] (`tid` 0 = lifecycle, 1 = negotiation, 2 = directory,
@@ -17,9 +24,9 @@
 
 use std::fmt::Write as _;
 
-use grid_des::{FlowRecord, SpanRecord, SpanTrack, TraceRecord, TraceSink};
+use grid_des::{FlowRecord, SpanDetail, SpanRecord, SpanTrack};
 
-use crate::json::esc;
+use crate::json::push_esc;
 
 /// Microseconds per simulated second (Chrome Trace `ts`/`dur` unit).
 const US_PER_SEC: f64 = 1e6;
@@ -36,19 +43,19 @@ enum Phase {
     FlowFinish,
 }
 
-/// One buffered trace event, pre-rendered to Chrome Trace fields.
-#[derive(Debug, Clone)]
+/// One buffered trace event, in Chrome Trace units.
+#[derive(Debug, Clone, Copy)]
 struct ChromeEvent {
-    pid: u64,
-    tid: u64,
     ts_us: f64,
     dur_us: f64,
-    phase: Phase,
-    name: &'static str,
     /// Flow id (flow phases only).
     id: u64,
-    /// Free-form `args.detail` string (complete events only).
-    detail: String,
+    name: &'static str,
+    /// `args.detail` text, unrendered (complete events only).
+    detail: Option<SpanDetail>,
+    pid: u32,
+    tid: u8,
+    phase: Phase,
 }
 
 /// Buffers spans and flows during a run and exports them as Chrome Trace
@@ -78,6 +85,36 @@ impl SpanCollector {
         self.events.is_empty()
     }
 
+    /// Buffers a completed causal span.
+    pub fn span(&mut self, record: SpanRecord) {
+        let start = record.start.as_secs() * US_PER_SEC;
+        let end = record.end.as_secs() * US_PER_SEC;
+        self.events.push(ChromeEvent {
+            ts_us: start,
+            dur_us: (end - start).max(0.0),
+            id: 0,
+            name: record.name,
+            detail: record.detail,
+            pid: pid(record.gfa),
+            tid: record.track.tid(),
+            phase: Phase::Complete,
+        });
+    }
+
+    /// Buffers one endpoint of a cross-entity flow.
+    pub fn flow(&mut self, record: FlowRecord) {
+        self.events.push(ChromeEvent {
+            ts_us: record.time.as_secs() * US_PER_SEC,
+            dur_us: 0.0,
+            id: record.id,
+            name: "flow",
+            detail: None,
+            pid: pid(record.gfa),
+            tid: record.track.tid(),
+            phase: if record.start { Phase::FlowStart } else { Phase::FlowFinish },
+        });
+    }
+
     /// Renders the buffered events as a Chrome Trace Format document.
     ///
     /// Events are sorted by `(pid, tid, ts)` first, so within every
@@ -94,111 +131,80 @@ impl SpanCollector {
         });
 
         // Deterministic metadata: every (pid, tid) pair that carries data.
-        let mut tracks: Vec<(u64, u64)> = sorted.iter().map(|e| (e.pid, e.tid)).collect();
+        let mut tracks: Vec<(u32, u8)> = sorted.iter().map(|e| (e.pid, e.tid)).collect();
         tracks.dedup();
 
         let mut out = String::from("{\n\"traceEvents\": [\n");
         let mut first = true;
-        let mut push = |line: String, out: &mut String| {
+        // Opens the next event: a separator before all but the first.
+        let mut next = |out: &mut String| {
             if !first {
                 out.push_str(",\n");
             }
             first = false;
-            out.push_str(&line);
         };
-        let mut seen_pids: Vec<u64> = Vec::new();
+        let mut last_pid = None;
         for &(pid, tid) in &tracks {
-            if !seen_pids.contains(&pid) {
-                seen_pids.push(pid);
-                push(
-                    format!(
-                        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"gfa-{pid}\"}}}}"
-                    ),
-                    &mut out,
+            if last_pid != Some(pid) {
+                last_pid = Some(pid);
+                next(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"gfa-{pid}\"}}}}"
                 );
             }
-            let label = [
-                SpanTrack::Lifecycle,
-                SpanTrack::Negotiation,
-                SpanTrack::Directory,
-                SpanTrack::Execution,
-            ]
-            .iter()
-            .find(|t| t.tid() == tid)
-            .map_or("track", |t| t.label());
-            push(
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{label}\"}}}}"
-                ),
-                &mut out,
+            let label = SpanTrack::ALL
+                .iter()
+                .find(|t| t.tid() == tid)
+                .map_or("track", |t| t.label());
+            next(&mut out);
+            let _ = write!(
+                out,
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{label}\"}}}}"
             );
         }
+        let mut detail = String::new();
         for event in sorted {
-            let mut line = String::new();
+            next(&mut out);
             let _ = write!(
-                line,
+                out,
                 "{{\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{:.3}",
                 event.name, event.pid, event.tid, event.ts_us
             );
             match event.phase {
                 Phase::Complete => {
-                    let _ = write!(line, ",\"ph\":\"X\",\"dur\":{:.3}", event.dur_us);
-                    if !event.detail.is_empty() {
-                        let _ = write!(line, ",\"args\":{{\"detail\":\"{}\"}}", esc(&event.detail));
+                    let _ = write!(out, ",\"ph\":\"X\",\"dur\":{:.3}", event.dur_us);
+                    detail.clear();
+                    if let Some(d) = &event.detail {
+                        d.render_into(&mut detail);
+                    }
+                    if !detail.is_empty() {
+                        out.push_str(",\"args\":{\"detail\":\"");
+                        push_esc(&mut out, &detail);
+                        out.push_str("\"}");
                     }
                 }
                 Phase::FlowStart => {
-                    let _ = write!(line, ",\"ph\":\"s\",\"cat\":\"federation\",\"id\":{}", event.id);
+                    let _ = write!(out, ",\"ph\":\"s\",\"cat\":\"federation\",\"id\":{}", event.id);
                 }
                 Phase::FlowFinish => {
                     let _ = write!(
-                        line,
+                        out,
                         ",\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"federation\",\"id\":{}",
                         event.id
                     );
                 }
             }
-            line.push('}');
-            push(line, &mut out);
+            out.push('}');
         }
         out.push_str("\n]\n}\n");
         out
     }
 }
 
-impl TraceSink for SpanCollector {
-    fn record(&mut self, _record: TraceRecord) {
-        // Raw engine events are not collected: the causal spans carry the
-        // model-level story, and per-event records would dwarf them.
-    }
-
-    fn span(&mut self, record: SpanRecord) {
-        let start = record.start.as_secs() * US_PER_SEC;
-        let end = record.end.as_secs() * US_PER_SEC;
-        self.events.push(ChromeEvent {
-            pid: record.gfa as u64,
-            tid: record.track.tid(),
-            ts_us: start,
-            dur_us: (end - start).max(0.0),
-            phase: Phase::Complete,
-            name: record.name,
-            id: 0,
-            detail: record.detail,
-        });
-    }
-
-    fn flow(&mut self, record: FlowRecord) {
-        self.events.push(ChromeEvent {
-            pid: record.gfa as u64,
-            tid: record.track.tid(),
-            ts_us: record.time.as_secs() * US_PER_SEC,
-            dur_us: 0.0,
-            phase: if record.start { Phase::FlowStart } else { Phase::FlowFinish },
-            name: "flow",
-            id: record.id,
-            detail: String::new(),
-        });
-    }
+/// The Chrome Trace `pid` of an entity index.
+fn pid(gfa: usize) -> u32 {
+    u32::try_from(gfa).unwrap_or_else(|_| panic!("entity index {gfa} exceeds a trace pid"))
 }
 
 #[cfg(test)]
@@ -214,7 +220,12 @@ mod tests {
             name,
             start: SimTime::new(t0),
             end: SimTime::new(t1),
-            detail: format!("job {gfa}:{name}"),
+            detail: Some(SpanDetail {
+                args: [gfa as u64, 0, 0],
+                render: |args, out| {
+                    let _ = write!(out, "job {}", args[0]);
+                },
+            }),
         }
     }
 
@@ -273,6 +284,36 @@ mod tests {
             .map(|e| e.get("id").and_then(Json::as_f64).unwrap())
             .collect();
         assert_eq!(ids, vec![9.0, 9.0]);
+    }
+
+    #[test]
+    fn details_render_at_export_escaped_and_absent_details_add_no_args() {
+        let mut collector = SpanCollector::new();
+        collector.span(span(0, SpanTrack::Lifecycle, "job", 1.0, 2.0));
+        collector.span(SpanRecord {
+            detail: Some(SpanDetail {
+                args: [0; 3],
+                render: |_, out| out.push_str("say \"hi\""),
+            }),
+            ..span(0, SpanTrack::Lifecycle, "job", 3.0, 4.0)
+        });
+        collector.span(SpanRecord {
+            detail: None,
+            ..span(0, SpanTrack::Lifecycle, "job", 5.0, 6.0)
+        });
+        let doc = collector.to_chrome_trace();
+        let expected = concat!(
+            "{\n\"traceEvents\": [\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"gfa-0\"}},\n",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"lifecycle\"}},\n",
+            "{\"name\":\"job\",\"pid\":0,\"tid\":0,\"ts\":1000000.000,\"ph\":\"X\",\"dur\":1000000.000,",
+            "\"args\":{\"detail\":\"job 0\"}},\n",
+            "{\"name\":\"job\",\"pid\":0,\"tid\":0,\"ts\":3000000.000,\"ph\":\"X\",\"dur\":1000000.000,",
+            "\"args\":{\"detail\":\"say \\\"hi\\\"\"}},\n",
+            "{\"name\":\"job\",\"pid\":0,\"tid\":0,\"ts\":5000000.000,\"ph\":\"X\",\"dur\":1000000.000}",
+            "\n]\n}\n",
+        );
+        assert_eq!(doc, expected);
     }
 
     #[test]
